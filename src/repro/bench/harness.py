@@ -637,15 +637,15 @@ def bench_diagnosis(scale: float, repeat: int, jobs: int,
 
     replicate = max(int(16 * scale), 1)
     corpus = default_corpus().replicated(replicate)
-    pool = DiagnosisPool(jobs=jobs)
     captured: List[Any] = [None]
 
-    def run() -> int:
-        diagnosis = pool.diagnose(corpus)
-        captured[0] = diagnosis
-        return len(diagnosis.results)
+    with DiagnosisPool(jobs=jobs) as pool:
+        def run() -> int:
+            diagnosis = pool.diagnose(corpus)
+            captured[0] = diagnosis
+            return len(diagnosis.results)
 
-    ops, seconds = _best_of(repeat, run)
+        ops, seconds = _best_of(repeat, run)
     result = BenchResult(f"diagnosis_jobs{jobs}", ops, seconds)
     result.extras["jobs"] = jobs
     if baseline is not None and baseline.ops_per_sec > 0:

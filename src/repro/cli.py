@@ -153,10 +153,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise _usage_error(str(exc))
     else:
         corpus = default_corpus()
-    pool = DiagnosisPool(jobs=args.jobs or None,
-                         strategy=Strategy.from_name(args.strategy),
-                         shared_pages=args.shared_pages)
-    diagnosis = pool.diagnose(corpus)
+    with DiagnosisPool(jobs=args.jobs or None,
+                       strategy=Strategy.from_name(args.strategy),
+                       shared_pages=args.shared_pages) as pool:
+        diagnosis = pool.diagnose(corpus)
     print(diagnosis.render())
     if args.out_dir:
         out = Path(args.out_dir)

@@ -194,11 +194,11 @@ class HeapTherapy:
             args = item if isinstance(item, tuple) else (item,)
             entries.append(CorpusEntry(f"{key}:input#{index}", key,
                                        input_name=None, args=args))
-        pool = DiagnosisPool(jobs=jobs, strategy=self.strategy,
-                             scheme=self.scheme, prune=self.prune)
-        return pool.diagnose(
-            AttackCorpus(tuple(entries), source=f"pipeline:{key}"),
-            programs={key: (self.program, self.instrumented.codec)})
+        with DiagnosisPool(jobs=jobs, strategy=self.strategy,
+                           scheme=self.scheme, prune=self.prune) as pool:
+            return pool.diagnose(
+                AttackCorpus(tuple(entries), source=f"pipeline:{key}"),
+                programs={key: (self.program, self.instrumented.codec)})
 
     def generate_static_patches(self) -> "StaticPatchResult":
         """Derive speculative patches statically — no attack input.

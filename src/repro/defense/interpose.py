@@ -323,31 +323,51 @@ class DefendedAllocator(Allocator):
             guard_page=placed.guard,
             user_size=0 if placed.guard else size,
         )
-        self.memory.write_word(placed.metadata_address, metadata.encode())
+        # Every failure exit from here on (a guard ``mprotect`` fault,
+        # say) rolls the half-built buffer back before re-raising, so a
+        # failed allocation leaks nothing.  The try costs nothing on the
+        # success path.
+        try:
+            self.memory.write_word(placed.metadata_address,
+                                   metadata.encode())
 
-        if placed.guard:
-            # User size lives in the guard page's first word, then the
-            # page is sealed.
-            self.memory.write_word(placed.guard, size)
-            self.memory.mprotect(placed.guard, PAGE_SIZE, PROT_NONE)
-            self._charge("defense", self.meter.model.mprotect
-                         if self.meter else 0)
-            self.enhanced_counts[VulnType.OVERFLOW] += 1
-        if zero or (vuln & VulnType.UNINIT_READ):
-            if size:
-                self.memory.fill(placed.user, size, 0)
-            if not zero and self.meter is not None:
-                # calloc zeroes natively; only patch-driven zeroing is
-                # defense cost.
-                self.meter.charge(
-                    "defense", self.meter.model.zero_fill_per_byte * size)
-            if vuln & VulnType.UNINIT_READ:
-                self.enhanced_counts[VulnType.UNINIT_READ] += 1
+            if placed.guard:
+                # User size lives in the guard page's first word, then
+                # the page is sealed.
+                self.memory.write_word(placed.guard, size)
+                self.memory.mprotect(placed.guard, PAGE_SIZE, PROT_NONE)
+                self._charge("defense", self.meter.model.mprotect
+                             if self.meter else 0)
+                self.enhanced_counts[VulnType.OVERFLOW] += 1
+            if zero or (vuln & VulnType.UNINIT_READ):
+                if size:
+                    self.memory.fill(placed.user, size, 0)
+                if not zero and self.meter is not None:
+                    # calloc zeroes natively; only patch-driven zeroing
+                    # is defense cost.
+                    self.meter.charge(
+                        "defense",
+                        self.meter.model.zero_fill_per_byte * size)
+                if vuln & VulnType.UNINIT_READ:
+                    self.enhanced_counts[VulnType.UNINIT_READ] += 1
+        except BaseException:
+            self._rollback_allocation(raw, placed.metadata_address,
+                                      placed.guard)
+            raise
         if vuln & VulnType.USE_AFTER_FREE:
             self.enhanced_counts[VulnType.USE_AFTER_FREE] += 1
 
         self.stats.record_alloc(fun, size)
         return placed.user
+
+    def _rollback_allocation(self, raw: int, metadata_address: int,
+                             guard: int) -> None:
+        """Undo a half-built allocation: unseal its guard page if it got
+        sealed, clear the metadata word, return the chunk."""
+        if guard and self.memory.protection_of(guard) != PROT_RW:
+            self.memory.mprotect(guard, PAGE_SIZE, PROT_RW)
+        self.memory.write_word(metadata_address, 0)
+        self.underlying.free(raw)
 
     # ------------------------------------------------------------------
     # Deallocation (Figure 7)

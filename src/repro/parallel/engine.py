@@ -6,9 +6,10 @@ patches — so :class:`DiagnosisPool` fans a corpus out over a
 ``concurrent.futures.ProcessPoolExecutor``:
 
 * The parent instruments every workload in the corpus **once** and ships
-  the pickled program plan + codec to each worker through the pool
-  *initializer* — per-task messages carry only an entry index, so the
-  plan is never re-shipped per attack.
+  the pickled program plans (program + deployed codec) to each worker
+  through the pool *initializer* — per-task messages carry only the
+  :class:`~repro.workloads.corpus.CorpusEntry` to replay, so a plan is
+  never re-shipped per attack.
 * Each worker replays its entries under
   :class:`~repro.patch.generator.OfflinePatchGenerator` and returns a
   compact :class:`~repro.parallel.result.DiagnosisResult` (patches,
@@ -20,21 +21,27 @@ patches — so :class:`DiagnosisPool` fans a corpus out over a
   (widest-``T`` conflict policy, canonical sort), so ``jobs=N`` output
   is bit-identical to ``jobs=1``.
 
-Worker lifecycle: workers are long-lived for the duration of one
-:meth:`DiagnosisPool.diagnose` call; the initializer unpickles the plan
+Worker lifecycle: the pool keeps its workers across
+:meth:`DiagnosisPool.diagnose` calls, as
+:class:`~repro.serving.engine.ServingEngine` does.  They fork lazily on
+the first parallel call; the initializer unpickles the program plans
 into a module global, and per-workload generators are built lazily on
 first use so a worker only pays for the workloads it actually sees.
+The pool re-forks only when a call brings a different set of
+``(key, program, codec)`` objects than the live workers were shipped
+(compared by identity), or when a worker dies mid-task
+(:func:`~repro.parallel.workers.run_recovering`).  :meth:`close`, the
+context-manager exit or garbage collection release the workers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..ccencoding import Strategy
 from ..ccencoding.base import Codec
@@ -53,6 +60,22 @@ from ..workloads.corpus import (
 )
 from ..workloads.vulnerable import workload_registry
 from .result import CorpusDiagnosis, DiagnosisResult
+from .workers import (
+    cpu_slots,
+    maybe_inject_crash,
+    pin_to_cpu,
+    pool_context,
+    run_recovering,
+)
+
+
+#: Tasks per worker in one parallel ``diagnose``: each task replays a
+#: contiguous run of entries.  Replays take well under a millisecond
+#: each, so one message per entry would cost as much as the replay;
+#: two runs per worker still let a fast worker take over the work
+#: behind a slow entry (Heartbleed's replay dominates the default
+#: corpus).
+CHUNKS_PER_JOB = 2
 
 
 class DiagnosisError(RuntimeError):
@@ -76,7 +99,9 @@ class ProgramPlan:
 
 @dataclass(frozen=True)
 class DiagnosisPlan:
-    """Everything a worker needs, shipped once via the pool initializer."""
+    """One corpus ready to replay: the program plans (shipped once via
+    the pool initializer) and the entries (sent in runs, one per
+    task)."""
 
     programs: Tuple[ProgramPlan, ...]
     entries: Tuple[CorpusEntry, ...]
@@ -87,12 +112,11 @@ class _WorkerState:
     """Per-process diagnosis state (one per pool worker, or in-process
     for the serial path — both run the identical code)."""
 
-    def __init__(self, plan: DiagnosisPlan) -> None:
-        self.plan = plan
-        self.entries = plan.entries
+    def __init__(self, programs: Tuple[ProgramPlan, ...],
+                 quarantine_quota: int) -> None:
+        self.quarantine_quota = quarantine_quota
         self._programs: Dict[str, ProgramPlan] = {
-            program_plan.key: program_plan
-            for program_plan in plan.programs}
+            program_plan.key: program_plan for program_plan in programs}
         self._generators: Dict[str, OfflinePatchGenerator] = {}
 
     def _generator(self, key: str) -> OfflinePatchGenerator:
@@ -101,12 +125,11 @@ class _WorkerState:
             program_plan = self._programs[key]
             generator = OfflinePatchGenerator(
                 program_plan.program, program_plan.codec,
-                quarantine_quota=self.plan.quarantine_quota)
+                quarantine_quota=self.quarantine_quota)
             self._generators[key] = generator
         return generator
 
-    def diagnose(self, index: int) -> DiagnosisResult:
-        entry = self.entries[index]
+    def diagnose(self, entry: CorpusEntry) -> DiagnosisResult:
         program_plan = self._programs.get(entry.workload)
         if program_plan is None:
             raise DiagnosisError(
@@ -138,38 +161,64 @@ class _WorkerState:
         )
 
 
-#: The unpickled plan of this worker process (set by the initializer).
+#: The unpickled program plans of this worker process (set by the
+#: initializer).
 _STATE: Optional[_WorkerState] = None
 
 
-def _init_worker(payload: bytes, shared_pages: bool = False) -> None:
-    """Pool initializer: unpickle the plan once per worker process.
+def _init_worker(payload: bytes, shared_pages: bool = False,
+                 slots: Any = None) -> None:
+    """Pool initializer: unpickle the program plans once per worker.
 
     With ``shared_pages`` the worker first installs a process-wide
     shared-memory page arena, so every replay's page frames live in
     OS-shared segments rather than per-page private buffers (see
     :func:`repro.machine.pagestore.install_shared_worker_store`).
+    ``slots`` pins the worker to a CPU of its own
+    (:func:`~repro.parallel.workers.pin_to_cpu`).
     """
     global _STATE
+    pin_to_cpu(slots)
     if shared_pages:
         from ..machine.pagestore import install_shared_worker_store
 
         install_shared_worker_store("repro-diag-pages")
-    _STATE = _WorkerState(pickle.loads(payload))
+    _STATE = _WorkerState(*pickle.loads(payload))
 
 
-def _diagnose_index(index: int) -> DiagnosisResult:
-    """Pool task: diagnose one corpus entry by index."""
+def _diagnose_chunk(entries: Tuple[CorpusEntry, ...]
+                    ) -> List[DiagnosisResult]:
+    """Pool task: diagnose a run of corpus entries, in order.
+
+    ``REPRO_DIAG_CRASH_ENTRY`` (an entry id) and ``REPRO_DIAG_CRASH_FLAG``
+    arm the crash-recovery fault injection
+    (:func:`~repro.parallel.workers.maybe_inject_crash`).
+    """
     assert _STATE is not None, "worker initializer did not run"
-    return _STATE.diagnose(index)
+    results = []
+    for entry in entries:
+        maybe_inject_crash("REPRO_DIAG_CRASH_ENTRY",
+                           "REPRO_DIAG_CRASH_FLAG", entry.entry_id)
+        results.append(_STATE.diagnose(entry))
+    return results
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap workers, Linux default); the shipped plan
-    stays pickle-clean either way so ``spawn`` hosts work too."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
+def _chunked(entries: Tuple[CorpusEntry, ...],
+             count: int) -> List[Tuple[CorpusEntry, ...]]:
+    """Split ``entries`` into at most ``count`` contiguous runs."""
+    size = -(-len(entries) // count)
+    return [entries[i:i + size] for i in range(0, len(entries), size)]
+
+
+def _shipped_identity(plan: DiagnosisPlan) -> Any:
+    """What live workers depend on: *which* program and codec objects
+    they were shipped, not their bytes (``plan.programs`` follows corpus
+    order, so equal plans pickle differently whenever the corpus is
+    reordered)."""
+    return (plan.quarantine_quota,
+            frozenset((program_plan.key, id(program_plan.program),
+                       id(program_plan.codec))
+                      for program_plan in plan.programs))
 
 
 class DiagnosisPool:
@@ -206,6 +255,11 @@ class DiagnosisPool:
         #: independent of frame backing either way (the determinism
         #: tests pin this).
         self.shared_pages = shared_pages
+        #: Worker pool kept across calls (forked on the first parallel
+        #: ``diagnose``), and the plan its workers were shipped — held
+        #: strongly so the shipped objects' ``id``s stay unique.
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._shipped: Optional[DiagnosisPlan] = None
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -267,11 +321,13 @@ class DiagnosisPool:
         plan = self.build_plan(corpus, programs)
         start = time.perf_counter()
         if self.jobs == 1 or len(plan.entries) <= 1:
-            state = _WorkerState(plan)
-            results = [state.diagnose(index)
-                       for index in range(len(plan.entries))]
+            state = _WorkerState(plan.programs, plan.quarantine_quota)
+            results = [state.diagnose(entry) for entry in plan.entries]
         else:
-            results = self._diagnose_parallel(plan)
+            chunks = _chunked(plan.entries, self.jobs * CHUNKS_PER_JOB)
+            results = [result for chunk in run_recovering(
+                lambda: self._pool(plan), self.close, _diagnose_chunk,
+                chunks, DiagnosisError) for result in chunk]
         seconds = time.perf_counter() - start
         merge_start = time.perf_counter()
         tables = self._merge(results)
@@ -281,25 +337,48 @@ class DiagnosisPool:
                                merge_seconds=merge_seconds,
                                tables=tables)
 
-    def _diagnose_parallel(self,
-                           plan: DiagnosisPlan) -> List[DiagnosisResult]:
+    def _pool(self, plan: DiagnosisPlan) -> ProcessPoolExecutor:
+        """The live worker pool, re-forked when ``plan`` brings program
+        plans other than the ones the workers were shipped."""
+        shipped = self._shipped
+        if (self._executor is not None and shipped is not None
+                and _shipped_identity(plan) == _shipped_identity(shipped)):
+            return self._executor
+        self.close()
         try:
-            payload = pickle.dumps(plan,
+            payload = pickle.dumps((plan.programs, plan.quarantine_quota),
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             raise DiagnosisError(
                 f"diagnosis plan is not picklable ({exc!r}); parallel "
                 f"workers need pickle-clean programs and codecs — run "
                 f"with jobs=1 or make the program picklable") from None
-        chunksize = max(1, len(plan.entries) // (self.jobs * 4))
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 mp_context=_pool_context(),
-                                 initializer=_init_worker,
-                                 initargs=(payload, self.shared_pages)
-                                 ) as executor:
-            return list(executor.map(_diagnose_index,
-                                     range(len(plan.entries)),
-                                     chunksize=chunksize))
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.jobs,
+            mp_context=pool_context(),
+            initializer=_init_worker,
+            initargs=(payload, self.shared_pages, cpu_slots(self.jobs)))
+        self._shipped = plan
+        return self._executor
+
+    def close(self) -> None:
+        """Shut down the worker pool (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+            self._shipped = None
+
+    def __enter__(self) -> "DiagnosisPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:
+            pass
 
     # ------------------------------------------------------------------
     # Deterministic merge

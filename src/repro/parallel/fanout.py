@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
-from .engine import _pool_context
+from .workers import pool_context
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -57,7 +57,7 @@ def fanout_map(fn: Callable[[_ItemT], _ResultT],
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=_pool_context(),
+                             mp_context=pool_context(),
                              initializer=_init_fanout_worker,
                              initargs=(shared_pages,)) as executor:
         return list(executor.map(fn, items, chunksize=chunksize))

@@ -16,8 +16,11 @@ defended allocator:
   thrash between more CPU-bound batches than it can run.  The
   instrumented program
   plan — program, deployed codec, every published table text — ships
-  once through the pool initializer; per-batch messages carry only the
-  batch index, mirroring :class:`~repro.parallel.engine.DiagnosisPool`.
+  once through the pool initializer and per-batch messages carry only
+  the batch index (as :class:`~repro.parallel.engine.DiagnosisPool`
+  ships its plans once and sends only corpus entries).  A worker
+  that dies mid-batch costs a re-fork and a rerun of the unfinished
+  batches (:func:`~repro.parallel.workers.run_recovering`).
   With ``shared_pages`` the workers draw page frames from a
   shared-memory arena (:mod:`repro.machine.pagestore`) instead of
   private buffers.
@@ -37,13 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
-import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +52,12 @@ from ..ccencoding.base import Codec
 from ..core.instrument import instrument
 from ..defense.interpose import DEFAULT_ONLINE_QUOTA
 from ..defense.patch_table import PatchTable
+from ..parallel.workers import (  # noqa: F401 (MAX_POOL_REBUILDS)
+    MAX_POOL_REBUILDS,
+    maybe_inject_crash,
+    pool_context,
+    run_recovering,
+)
 from ..patch import config as patch_config
 from ..program.program import Program
 from .handle import PatchTableHandle
@@ -66,13 +72,6 @@ from .stream import LazyRequestStream
 
 #: Report schema identifier (bump on layout changes).
 REPORT_SCHEMA = "repro/serving-report/v1"
-
-#: Times the dispatcher will rebuild a crashed worker pool before giving
-#: up on the serve.  Each rebuild resubmits only the unfinished batches,
-#: so a single worker death costs one pool fork plus the lost batch —
-#: the outcome stays byte-identical to an undisturbed run.
-MAX_POOL_REBUILDS = 3
-
 
 class ServingError(RuntimeError):
     """Engine misconfiguration or worker failure (picklable message)."""
@@ -224,42 +223,17 @@ def _init_worker(payload: bytes, shared_pages: bool = False) -> None:
     _STATE = _WorkerServeState(pickle.loads(payload))
 
 
-def _maybe_inject_crash(index: int) -> None:
-    """Fault injection for the crash-recovery tests (env-gated, no-op
-    otherwise): SIGKILL this worker before serving the targeted batch.
-
-    ``REPRO_SERVE_CRASH_BATCH`` names the batch index to die on;
-    ``REPRO_SERVE_CRASH_FLAG`` is a flag-file path created atomically
-    (``O_EXCL``) so exactly one worker dies exactly once — the
-    resubmitted batch then serves normally.  With no flag set the
-    batch crashes *every* attempt, which is the persistent-crash-loop
-    case the bounded-rebuild test pins down.
-    """
-    target = os.environ.get("REPRO_SERVE_CRASH_BATCH")
-    if target is None or int(target) != index:
-        return
-    flag = os.environ.get("REPRO_SERVE_CRASH_FLAG")
-    if flag is not None:
-        try:
-            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _serve_index(index: int) -> BatchResult:
-    """Pool task: serve one admitted batch by index."""
+    """Pool task: serve one admitted batch by index.
+
+    ``REPRO_SERVE_CRASH_BATCH`` / ``REPRO_SERVE_CRASH_FLAG`` arm the
+    crash-recovery fault injection
+    (:func:`~repro.parallel.workers.maybe_inject_crash`).
+    """
     assert _STATE is not None, "worker initializer did not run"
-    _maybe_inject_crash(index)
+    maybe_inject_crash("REPRO_SERVE_CRASH_BATCH", "REPRO_SERVE_CRASH_FLAG",
+                       str(index))
     return _STATE.serve_batch(index)
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap workers); the plan is pickle-clean either
-    way so ``spawn`` hosts work too."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
 
 
 class ServingEngine:
@@ -382,60 +356,22 @@ class ServingEngine:
 
     def _serve_parallel(self, plan: ServingPlan,
                         n_batches: int) -> List[BatchResult]:
-        """Dispatch with crash recovery: a dead worker breaks the whole
-        ``ProcessPoolExecutor`` (every in-flight future raises
-        ``BrokenProcessPool``), so recovery reaps the broken pool,
-        preforks a fresh one and resubmits only the batches that never
-        completed.  Batch outcomes are pure functions of (batch, table
-        version), so a rerun batch is byte-identical to what the dead
-        worker would have produced — the ``workers=1`` oracle digest
-        still matches.  Persistent crash loops fail the serve after
-        :data:`MAX_POOL_REBUILDS` rebuilds instead of spinning."""
-        results: List[Optional[BatchResult]] = [None] * n_batches
-        rebuilds = 0
-        while True:
-            try:
-                self._dispatch(plan, n_batches, results)
-                break
-            except BrokenProcessPool:
-                rebuilds += 1
-                self.close()  # reap the broken pool; _pool re-forks
-                if rebuilds > MAX_POOL_REBUILDS:
-                    raise ServingError(
-                        f"worker pool died {rebuilds} times; giving up "
-                        f"after {MAX_POOL_REBUILDS} rebuilds (crash "
-                        f"loop, not a one-off worker death)") from None
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            raise ServingError(f"batches {missing} never completed")
-        return [batch for batch in results if batch is not None]
-
-    def _dispatch(self, plan: ServingPlan, n_batches: int,
-                  results: List[Optional[BatchResult]]) -> None:
-        """One dispatch round over the unfinished batches.
+        """Dispatch with crash recovery
+        (:func:`~repro.parallel.workers.run_recovering`): a dead worker
+        costs a re-fork and a rerun of the unfinished batches, whose
+        outcomes are pure functions of (batch, table version) — the
+        ``workers=1`` oracle digest still matches.
 
         Bounded in-flight dispatch (admission backpressure): batches go
         to workers as they drain, but never more are in flight than the
         host can actually run — oversubscribing a small host with
-        CPU-bound batches only buys cache thrash.  Results merge by
-        batch index, so completion order is unobservable.
+        CPU-bound batches only buys cache thrash.
         """
-        executor = self._pool(plan, n_batches)
         max_inflight = max(1, min(self.options.workers,
                                   os.cpu_count() or 1))
-        pending = [i for i, r in enumerate(results) if r is None]
-        inflight: Dict[Any, int] = {}
-        next_pos = 0
-        while next_pos < len(pending) or inflight:
-            while (next_pos < len(pending)
-                   and len(inflight) < max_inflight):
-                index = pending[next_pos]
-                future = executor.submit(_serve_index, index)
-                inflight[future] = index
-                next_pos += 1
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                results[inflight.pop(future)] = future.result()
+        return run_recovering(lambda: self._pool(plan, n_batches),
+                              self.close, _serve_index, range(n_batches),
+                              ServingError, max_inflight)
 
     def _pool(self, plan: ServingPlan,
               n_batches: int) -> ProcessPoolExecutor:
@@ -453,7 +389,7 @@ class ServingEngine:
         workers = min(self.options.workers, n_batches)
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=_pool_context(),
+            mp_context=pool_context(),
             initializer=_init_worker,
             initargs=(payload, self.options.shared_pages))
         return self._executor

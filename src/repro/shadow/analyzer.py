@@ -126,16 +126,27 @@ class ShadowAnalyzer(ExecutionMonitor):
                 break
             pos += 1
 
-    def _classify(self, address: int) -> Tuple[VulnType, Optional[BufferRecord]]:
-        """Attribute a faulting byte to a buffer and a vulnerability kind."""
-        pos = bisect.bisect_right(self._region_starts, address) - 1
-        if 0 <= pos < len(self._regions):
+    def _classify(self, address: int, limit: int
+                  ) -> Tuple[VulnType, Optional[BufferRecord], int]:
+        """Attribute a faulting byte to a buffer and a vulnerability kind.
+
+        The third item is where that attribution stops holding, capped
+        at ``limit``: every byte in ``[address, end)`` lies in the same
+        tracked region (or outside every region) and no other region
+        starts in between, so it classifies identically.
+        """
+        starts = self._region_starts
+        pos = bisect.bisect_right(starts, address) - 1
+        if pos + 1 < len(starts):
+            limit = min(limit, starts[pos + 1])
+        if pos >= 0:
             tracked = self._regions[pos]
             if tracked.region_start <= address < tracked.region_end:
+                end = min(limit, tracked.region_end)
                 if tracked.freed:
-                    return VulnType.USE_AFTER_FREE, tracked.record
-                return VulnType.OVERFLOW, tracked.record
-        return VulnType.NONE, None
+                    return VulnType.USE_AFTER_FREE, tracked.record, end
+                return VulnType.OVERFLOW, tracked.record, end
+        return VulnType.NONE, None, limit
 
     # ------------------------------------------------------------------
     # Warning emission (dedup = chained-warning suppression)
@@ -152,26 +163,30 @@ class ShadowAnalyzer(ExecutionMonitor):
         self.report.add(ShadowWarning(kind, address, access, record, message))
 
     def _check_access(self, address: int, size: int, access: str) -> None:
-        """A-bit check over a range; one warning per implicated buffer."""
+        """A-bit check over a range; one warning per implicated buffer.
+
+        Walks the runs of inaccessible bytes and classifies once per
+        stretch that shares an attribution (a tracked region, or the gap
+        up to the next one), warning at the stretch's first byte — the
+        byte a per-byte scan would have warned at.
+        """
         if self.meter is not None:
             self.meter.charge("analysis", size)
         if self.shadow.is_accessible(address, size):
             return
-        flags = self.shadow.accessibility(address, size)
         seen: Set[Optional[int]] = set()
-        for offset, flag in enumerate(flags):
-            if flag:
-                continue
-            kind, record = self._classify(address + offset)
-            serial = record.serial if record else None
-            if serial in seen:
-                continue
-            seen.add(serial)
-            if record is None:
-                self._warn(VulnType.NONE, address + offset, access, None,
-                           "wild access outside any known buffer")
-            else:
-                self._warn(kind, address + offset, access, record)
+        for cursor, run_end in self.shadow.inaccessible_runs(address, size):
+            while cursor < run_end:
+                kind, record, end = self._classify(cursor, run_end)
+                serial = record.serial if record else None
+                if serial not in seen:
+                    seen.add(serial)
+                    if record is None:
+                        self._warn(VulnType.NONE, cursor, access, None,
+                                   "wild access outside any known buffer")
+                    else:
+                        self._warn(kind, cursor, access, record)
+                cursor = end
 
     # ------------------------------------------------------------------
     # Heap replacement
@@ -338,14 +353,8 @@ class ShadowAnalyzer(ExecutionMonitor):
     def write(self, address: int, value: TaggedValue) -> None:
         self._check_access(address, len(value), "write")
         self._poke_resumed(address, value.data)
-        if value.valid_mask is None:
-            self.shadow.set_valid(address, len(value))
-            self.shadow.set_origins(address, [None] * len(value))
-        else:
-            self.shadow.set_vmask(address, value.valid_mask)
-            origins = [value.origin if mask != 0xFF else None
-                       for mask in value.valid_mask]
-            self.shadow.set_origins(address, origins)
+        self.shadow.write_shadow(address, len(value), value.valid_mask,
+                                 value.origin)
 
     def copy(self, dst: int, src: int, size: int) -> None:
         self._check_access(src, size, "read")
@@ -387,20 +396,18 @@ class ShadowAnalyzer(ExecutionMonitor):
         # warning per origin buffer, then set valid (chained-warning
         # suppression, Section V).
         if not self.shadow.is_fully_valid(address, size):
-            masks = self.shadow.vmask(address, size)
             seen: Set[Optional[int]] = set()
-            for offset, mask in enumerate(masks):
-                if mask == 0xFF:
-                    continue
-                origin = self.shadow.origin_of(address + offset)
-                if origin in seen:
-                    continue
-                seen.add(origin)
-                record = (self._by_serial.get(origin)
-                          if origin is not None else None)
-                self._warn(VulnType.UNINIT_READ, address + offset,
-                           "use:syscall", record,
-                           "uninitialized data reaches a system call")
+            for start, end in self.shadow.invalid_runs(address, size):
+                for at, origin in self.shadow.first_origins(start,
+                                                            end - start):
+                    if origin in seen:
+                        continue
+                    seen.add(origin)
+                    record = (self._by_serial.get(origin)
+                              if origin is not None else None)
+                    self._warn(VulnType.UNINIT_READ, at, "use:syscall",
+                               record,
+                               "uninitialized data reaches a system call")
             self.shadow.set_valid(address, size)
         return self.memory.peek(address, size)
 

@@ -1,7 +1,7 @@
 """Worker crash recovery: a SIGKILLed worker never changes the report.
 
 Fault injection is env-gated inside the pool worker
-(:func:`repro.serving.engine._maybe_inject_crash`): exactly one worker
+(:func:`repro.parallel.workers.maybe_inject_crash`): exactly one worker
 SIGKILLs itself before serving a targeted batch (an ``O_EXCL`` flag
 file makes the crash once-only), which breaks the whole
 ``ProcessPoolExecutor``.  The engine must reap the broken pool, refork,
