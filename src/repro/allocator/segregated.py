@@ -82,9 +82,8 @@ class SegregatedAllocator(Allocator):
     def _refill(self, cls: int) -> None:
         base = self.memory.mmap(SLAB_SIZE)
         self.slabs_mapped += 1
-        slots = self._free_slots.setdefault(cls, [])
-        for offset in range(0, SLAB_SIZE, cls):
-            slots.append(base + offset)
+        self._free_slots.setdefault(cls, []).extend(
+            range(base, base + SLAB_SIZE, cls))
 
     def _alloc_small(self, size: int) -> int:
         cls = _size_class(size)

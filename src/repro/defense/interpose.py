@@ -16,6 +16,12 @@ Per allocation it does exactly what the paper describes:
    guard page (``mprotect``) against overflow, zero-fill against
    uninitialized read, deferred-free FIFO against use after free.
 
+Structure 1 (no patch) and Structure 2 (overflow-only patch, unaligned:
+the guard page on a hot context) are laid out and freed in integer
+arithmetic; :mod:`.structures` and :mod:`.metadata` serve the other
+structures and the uaf/uninit paths, and are the oracle both
+integer paths are tested against.
+
 Unpatched buffers still pay interposition + metadata — that is the 4.3%
 "zero patches" bar of Figure 8 — while enhancement cost is confined to
 vulnerable contexts, which is the whole point of heap patches as
@@ -36,9 +42,19 @@ from ..patch.model import HeapPatch
 from ..program.context import ContextSource, NullContextSource
 from ..program.cost import CycleMeter
 from ..vulntypes import VulnType
-from .metadata import METADATA_SIZE, BufferMetadata
+from .metadata import (
+    METADATA_SIZE,
+    BufferMetadata,
+    guard_page_of,
+    overflow_word,
+)
 from .patch_table import PatchTable
-from .structures import buffer_start, place_buffer, plan_request
+from .structures import (
+    StructureError,
+    buffer_start,
+    place_buffer,
+    plan_request,
+)
 
 #: Largest user size representable in the metadata word's 48-bit size
 #: field; bigger requests take the generic (validating) path.
@@ -47,6 +63,18 @@ _MAX_INLINE_SIZE = (1 << 48) - 1
 #: Bit position of the user-size field in the metadata word (Figure 6);
 #: for an unpatched, unaligned buffer the whole word is ``size << 4``.
 _METADATA_SIZE_SHIFT = 4
+
+#: Low nibble (vulnerability bits + ALIGNED) of a Structure 2 word:
+#: overflow only, unaligned.  Plain ``int`` so the hot-path tests are
+#: integer compares, never ``IntFlag`` operations.
+_OVERFLOW = int(VulnType.OVERFLOW)
+
+#: Bytes requested past the user buffer for a guard page: enough to
+#: page-align the guard wherever the underlying allocator lands, plus
+#: the guard page itself (as :func:`~.structures.plan_request`).
+_GUARD_SLACK = (PAGE_SIZE - 1) + PAGE_SIZE
+
+_PAGE_MASK = PAGE_SIZE - 1
 
 
 class _LookupView:
@@ -228,6 +256,9 @@ class DefendedAllocator(Allocator):
                 record(size)
                 append(raw + METADATA_SIZE)
             return out
+        if patch.vuln == _OVERFLOW:
+            allocate_guarded = self._allocate_guarded
+            return [allocate_guarded("malloc", size) for size in sizes]
         return [self._allocate("malloc", size, _charged=True)
                 for size in sizes]
 
@@ -305,6 +336,8 @@ class DefendedAllocator(Allocator):
                                    size << _METADATA_SIZE_SHIFT)
             self.stats.record_alloc(fun, size)
             return user
+        if patch is not None and not aligned and patch.vuln == _OVERFLOW:
+            return self._allocate_guarded(fun, size, zero)
 
         vuln = patch.vuln if patch is not None else VulnType.NONE
         plan = plan_request(vuln, aligned, alignment, size)
@@ -360,6 +393,38 @@ class DefendedAllocator(Allocator):
         self.stats.record_alloc(fun, size)
         return placed.user
 
+    def _allocate_guarded(self, fun: str, size: int,
+                          zero: bool = False) -> int:
+        """Structure 2 (overflow patch, unaligned) in integer arithmetic.
+
+        The layout :func:`~.structures.plan_request` and
+        :func:`~.structures.place_buffer` compute, and the word
+        :meth:`BufferMetadata.encode` packs, without building either:
+        metadata word · user buffer · pad · guard page, the user size in
+        the guard page's first word, the guard sealed ``PROT_NONE``.
+        Interposition must already have been charged.
+        """
+        if size < 0:
+            raise StructureError(f"negative size {size}")
+        raw = self._underlying_malloc(METADATA_SIZE + size + _GUARD_SLACK)
+        user = raw + METADATA_SIZE
+        guard = (user + size + _PAGE_MASK) & ~_PAGE_MASK
+        try:
+            self._write_word(raw, overflow_word(guard))
+            self._write_word(guard, size)
+            self.memory.mprotect(guard, PAGE_SIZE, PROT_NONE)
+            meter = self.meter
+            if meter is not None:
+                meter.charge("defense", meter.model.mprotect)
+            self.enhanced_counts[VulnType.OVERFLOW] += 1
+            if zero and size:
+                self.memory.fill(user, size, 0)
+        except BaseException:
+            self._rollback_allocation(raw, raw, guard)
+            raise
+        self.stats.record_alloc(fun, size)
+        return user
+
     def _rollback_allocation(self, raw: int, metadata_address: int,
                              guard: int) -> None:
         """Undo a half-built allocation: unseal its guard page if it got
@@ -373,13 +438,16 @@ class DefendedAllocator(Allocator):
     # Deallocation (Figure 7)
     # ------------------------------------------------------------------
 
-    def _read_metadata(self, user: int) -> Tuple[BufferMetadata, int]:
+    def _read_metadata(self, user: int, word: Optional[int] = None
+                       ) -> Tuple[BufferMetadata, int]:
         """Decode the metadata word; returns (metadata, user_size).
 
+        ``word`` is the metadata word when the caller already loaded it.
         For guarded buffers the guard page is made accessible first (the
         user size lives in its first word) — step (1) of Figure 7.
         """
-        word = self.memory.read_word(user - METADATA_SIZE)
+        if word is None:
+            word = self.memory.read_word(user - METADATA_SIZE)
         metadata = BufferMetadata.decode(word)
         if metadata.has_guard:
             self.memory.mprotect(metadata.guard_page, PAGE_SIZE, PROT_RW)
@@ -404,16 +472,28 @@ class DefendedAllocator(Allocator):
             self._record_free(word >> _METADATA_SIZE_SHIFT)
             self._underlying_free(address - METADATA_SIZE)
             return
-        self._free_decoded(address)
+        self._free_decoded(address, word)
 
-    def _free_decoded(self, address: int) -> None:
+    def _free_decoded(self, address: int, word: int) -> None:
         """The decoding free path (guard unseal, quarantine, Figure 7).
 
         Interposition must already have been charged; shared by
         :meth:`free` and :meth:`free_run` for buffers whose metadata word
-        carries flags.
+        (``word``, already loaded) carries flags.
         """
-        metadata, user_size = self._read_metadata(address)
+        if word & 0xF == _OVERFLOW:
+            # Structure 2: unseal the guard, read the user size from its
+            # first word, release the chunk — Figure 7 in integer
+            # arithmetic.
+            guard = guard_page_of(word)
+            self.memory.mprotect(guard, PAGE_SIZE, PROT_RW)
+            meter = self.meter
+            if meter is not None:
+                meter.charge("defense", meter.model.mprotect)
+            self._record_free(self._read_word(guard))
+            self._underlying_free(address - METADATA_SIZE)
+            return
+        metadata, user_size = self._read_metadata(address, word)
         raw = buffer_start(address, metadata.aligned, metadata.alignment)
         if metadata.has_guard:
             region_size = metadata.guard_page + PAGE_SIZE - raw
@@ -456,21 +536,28 @@ class DefendedAllocator(Allocator):
         append_raw = raws.append
         usables: List[int] = []
         append_usable = usables.append
-        for address, word in zip(live, words):
-            if not word & 0xF:
-                # Accumulate the whole fast-path run and release it in
-                # one batched underlying call.  Reordering plain frees
-                # after the decoding ones is unobservable: decoding
-                # frees never touch a live buffer's metadata word, and
-                # the underlying allocator sees the same multiset of
-                # releases from this one call site.
-                append_usable(word >> _METADATA_SIZE_SHIFT)
-                append_raw(address - METADATA_SIZE)
-            else:
-                self._free_decoded(address)
-        if raws:
-            self.underlying.free_run(raws)
-            self.stats.record_free_run(usables)
+        free_decoded = self._free_decoded
+        try:
+            for address, word in zip(live, words):
+                if not word & 0xF:
+                    # Accumulate the whole fast-path run and release it
+                    # in one batched underlying call.  Reordering plain
+                    # frees after the decoding ones is unobservable:
+                    # decoding frees never touch a live buffer's
+                    # metadata word, and the underlying allocator sees
+                    # the same multiset of releases from this one call
+                    # site.
+                    append_usable(word >> _METADATA_SIZE_SHIFT)
+                    append_raw(address - METADATA_SIZE)
+                else:
+                    free_decoded(address, word)
+        finally:
+            # Also on a failing decoded free (a guard unseal fault, say):
+            # the plain frees before it happened in the per-call loop,
+            # so they happen here too before the error propagates.
+            if raws:
+                self.underlying.free_run(raws)
+                self.stats.record_free_run(usables)
 
     # ------------------------------------------------------------------
     # Patch-table swap (read-mostly shared tables, copy-on-write)

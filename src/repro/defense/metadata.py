@@ -44,6 +44,7 @@ _SIZE_MASK = (1 << 48) - 1
 _ALIGN_SHIFT_OVERFLOW = 40
 _ALIGN_SHIFT_PLAIN = 52
 _ALIGN_MASK = (1 << 6) - 1
+_OVERFLOW_BITS = int(VulnType.OVERFLOW)
 
 
 class MetadataError(ValueError):
@@ -105,7 +106,7 @@ class BufferMetadata:
         vuln = VulnType(word & _TYPE_MASK)
         aligned = bool(word & _ALIGNED_BIT)
         if vuln & VulnType.OVERFLOW:
-            guard_page = ((word >> _GUARD_SHIFT) & _GUARD_MASK) << PAGE_SHIFT
+            guard_page = guard_page_of(word)
             align_log2 = (word >> _ALIGN_SHIFT_OVERFLOW) & _ALIGN_MASK
             user_size = 0
         else:
@@ -114,3 +115,21 @@ class BufferMetadata:
             align_log2 = (word >> _ALIGN_SHIFT_PLAIN) & _ALIGN_MASK
         return BufferMetadata(vuln, aligned, align_log2, guard_page,
                               user_size)
+
+
+def overflow_word(guard_page: int) -> int:
+    """The word of an unaligned overflow-only buffer (Structure 2).
+
+    ``OVERFLOW | frame << 4`` in integer arithmetic: equal to
+    ``BufferMetadata(OVERFLOW, False, 0, guard_page, 0).encode()`` for a
+    page-aligned ``guard_page``, with the same frame range check.
+    """
+    frame = guard_page >> PAGE_SHIFT
+    if frame > _GUARD_MASK:
+        raise MetadataError(f"guard frame out of range: 0x{frame:x}")
+    return _OVERFLOW_BITS | frame << _GUARD_SHIFT
+
+
+def guard_page_of(word: int) -> int:
+    """The guard-page address an overflow buffer's word records."""
+    return ((word >> _GUARD_SHIFT) & _GUARD_MASK) << PAGE_SHIFT

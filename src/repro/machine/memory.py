@@ -240,13 +240,21 @@ class VirtualMemory:
         if self.fault_injector is not None:
             self.fault_injector.charge("mprotect")
         first = page_number(address)
-        count = page_align_up(length) // PAGE_SIZE
-        for pno in range(first, first + count):
-            if pno not in self._protections:
+        protections = self._protections
+        if length <= PAGE_SIZE:
+            # One page (a guard page): check and set it directly.
+            if first not in protections:
                 raise MapError(
-                    f"mprotect: page 0x{pno << 12:x} is not mapped")
-        for pno in range(first, first + count):
-            self._protections[pno] = prot
+                    f"mprotect: page 0x{first << 12:x} is not mapped")
+            protections[first] = prot
+        else:
+            count = page_align_up(length) // PAGE_SIZE
+            for pno in range(first, first + count):
+                if pno not in protections:
+                    raise MapError(
+                        f"mprotect: page 0x{pno << 12:x} is not mapped")
+            for pno in range(first, first + count):
+                protections[pno] = prot
         self.mprotect_count += 1
         self._tlb_page = -1
         self._read_span = (-1, -1)
