@@ -17,10 +17,11 @@ current stack path, in order::
     V = mix(mix(mix(seed, c1), c2), c3)      # instrumented sites only
 
 Uninstrumented sites contribute nothing.  Our runtime restores ``V`` on
-return (one extra store per call in instrumented functions, folded into
-the cost model); this keeps ``V`` a pure function of the current path even
-under the pruned Slim/Incremental plans, where original PCC would leave a
-sibling subtree's value behind.  See ``DESIGN.md`` §5.
+return — each frame keeps its own entry value ``t`` (one extra store per
+call in instrumented functions, folded into the cost model); this keeps
+``V`` a pure function of the current path even under the pruned
+Slim/Incremental plans, where original PCC would leave a sibling
+subtree's value behind.  See ``DESIGN.md`` §5 and §10.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ that structurally similar graphs do not produce clustered hashes.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from ..program.callgraph import CallSite
 from .base import Codec, EncodingScheme, MASK64, splitmix64
 from .instrumentation import InstrumentationPlan
@@ -27,15 +29,37 @@ class PCCCodec(Codec):
     #: The multiplier from the PCC paper.
     MULTIPLIER = 3
 
+    def __init__(self, plan: InstrumentationPlan) -> None:
+        super().__init__(plan)
+        #: site id -> ``c``, filled on first use.  A pure cache: it is
+        #: left out of the pickled codec (see ``__getstate__``).
+        self._constants: Dict[int, int] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_constants"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._constants = {}
+
     def seed(self) -> int:
         return 0
 
     def site_constant(self, site: CallSite) -> int:
         """The per-site constant ``c`` (unique per call site)."""
-        return splitmix64(site.site_id)
+        constant = self._constants.get(site.site_id)
+        if constant is None:
+            constant = self._constants[site.site_id] = splitmix64(
+                site.site_id)
+        return constant
 
     def mix(self, value: int, site: CallSite) -> int:
-        return (self.MULTIPLIER * value + self.site_constant(site)) & MASK64
+        constant = self._constants.get(site.site_id)
+        if constant is None:
+            constant = self.site_constant(site)
+        return (self.MULTIPLIER * value + constant) & MASK64
 
 
 class PCCScheme(EncodingScheme):

@@ -174,7 +174,7 @@ class AdditiveCodec(Codec):
         return self._constants.get(site.site_id, 0)
 
     def mix(self, value: int, site: CallSite) -> int:
-        return (value + self.site_constant(site)) & self._mask
+        return (value + self._constants.get(site.site_id, 0)) & self._mask
 
     @property
     def supports_decoding(self) -> bool:

@@ -1,14 +1,29 @@
 """Online encoding runtimes: the thread-local-V state machine.
 
 :class:`EncodingRuntime` is what the inserted instrumentation *does* at run
-time.  The process drives it from exactly the places compiled code would:
+time.  Compiled code keeps ``t`` — ``V`` read in the prologue of an
+instrumented function — in the frame, and only instrumented call sites
+execute anything:
 
-* function prologue → remember ``V`` as this frame's ``t``,
-* instrumented call site → ``V = mix(t, c_site)``,
-* return → restore ``V`` to the resumed frame's encoding.
+* instrumented call site → ``V = mix(t, c_site)`` (plus the callee's
+  prologue cost when the callee is instrumented),
+* uninstrumented call site → no encoding code at all,
+* return → nothing; the resumed frame still holds its own ``t``.
 
-Reading the current CCID is a single register read — that is the whole
-point of encoding versus stack walking, and the cost model reflects it.
+The process mirrors that through the targeted protocol of
+:class:`~repro.program.context.TargetedContextSource`: ``V`` rides on the
+process's frames, each call site is resolved once into a site record
+(:meth:`EncodingRuntime.site_record`) that says whether it folds and what
+one crossing costs, and the CCID is published to the runtime at each
+allocation site.  Reading the current CCID is a single register read —
+that is the whole point of encoding versus stack walking, and the cost
+model reflects it.
+
+The per-call hooks (prologue → push ``V`` as ``t``, call site → fold,
+return → restore ``V``) stay as the reference path: a hooks-only wrapper
+such as ``CoverageTracker(inner=runtime)`` drives the runtime through
+them, and both paths give identical CCIDs, cycles and counters
+(``DESIGN.md`` §5).
 
 :class:`WalkedContextSource` is the expensive alternative the paper argues
 against: obtaining the context by walking the simulated stack on every
@@ -21,54 +36,66 @@ import zlib
 from typing import List, Optional
 
 from ..program.callgraph import CallSite
-from ..program.context import ContextSource
+from ..program.context import ContextSource, SiteRecord, TargetedContextSource
 from ..program.cost import CycleMeter
 from .base import Codec
 
 
-class EncodingRuntime(ContextSource):
+class EncodingRuntime(TargetedContextSource):
     """Drives one codec's V register along the dynamic call stack."""
 
-    #: Reading V is one register read with no side effect, so fused
-    #: interposition paths may elide it for provably unpatched functions.
-    pure_ccid = True
-
     def __init__(self, codec: Codec, meter: Optional[CycleMeter] = None) -> None:
+        super().__init__()
         self.codec = codec
         self.plan = codec.plan
         self.meter = meter
-        self._v: int = codec.seed()
+        self.v = codec.seed()
+        #: Frame values of the hook path (the targeted path keeps them
+        #: on the process's frames instead).
         self._t_stack: List[int] = []
-        #: How many encoding updates actually executed (dynamic count).
-        self.updates_executed: int = 0
-        #: How many call sites were crossed in total (dynamic count).
-        self.sites_crossed: int = 0
 
-    # -- ContextSource hooks -------------------------------------------
+    # -- targeted protocol ---------------------------------------------
+
+    def site_record(self, site: CallSite, enters: bool) -> SiteRecord:
+        folds = site.site_id in self.plan.sites
+        cycles = 0
+        if self.meter is not None:
+            model = self.meter.model
+            if folds:
+                cycles += model.encode_site
+            if enters and site.callee in self.plan.instrumented_functions:
+                cycles += model.encode_prologue
+        return (site, self.codec.mix if folds else None, cycles)
+
+    def start(self, entry: str) -> int:
+        if self.meter is not None and entry in self.plan.instrumented_functions:
+            self.meter.charge("encoding", self.meter.model.encode_prologue)
+        return self.v
+
+    def finish(self) -> None:
+        self.v = self.codec.seed()
+
+    # -- ContextSource hooks (the reference path) ----------------------
 
     def enter_function(self, name: str) -> None:
-        self._t_stack.append(self._v)
+        self._t_stack.append(self.v)
         if self.meter is not None and name in self.plan.instrumented_functions:
             self.meter.charge("encoding", self.meter.model.encode_prologue)
 
     def exit_function(self, name: str) -> None:
         self._t_stack.pop()
-        self._v = self._t_stack[-1] if self._t_stack else self.codec.seed()
+        self.v = self._t_stack[-1] if self._t_stack else self.codec.seed()
 
     def at_call_site(self, site: CallSite) -> None:
         self.sites_crossed += 1
         t = self._t_stack[-1] if self._t_stack else self.codec.seed()
         if site.site_id in self.plan.sites:
-            self._v = self.codec.mix(t, site)
+            self.v = self.codec.mix(t, site)
             self.updates_executed += 1
             if self.meter is not None:
                 self.meter.charge("encoding", self.meter.model.encode_site)
         else:
-            self._v = t
-
-    def current_ccid(self) -> int:
-        """Read V — one register read, no extra cost category."""
-        return self._v
+            self.v = t
 
 
 class WalkedContextSource(ContextSource):
@@ -99,6 +126,10 @@ class WalkedContextSource(ContextSource):
     def exit_function(self, name: str) -> None:
         if self._site_stack:
             self._site_stack.pop()
+        # An allocation announces its site but enters no frame; drop
+        # it here so it cannot become a phantom frame of the next
+        # function entered without a call site (the next run's entry).
+        self._pending_site = None
 
     def at_call_site(self, site: CallSite) -> None:
         self._pending_site = site.site_id

@@ -11,7 +11,7 @@ from .context import ContextSource, NullContextSource
 from .coverage import CoverageReport, CoverageTracker, merge_coverage
 from .cost import DEFAULT_COST_MODEL, CostModel, CycleMeter
 from .monitor import DirectMonitor, ExecutionMonitor
-from .process import AllocationEvent, Frame, Process, ProcessError
+from .process import AllocationEvent, Process, ProcessError
 from .program import Program
 from .threads import (
     GuestThreadResult,
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "DirectMonitor",
     "ExecutionMonitor",
-    "Frame",
     "Function",
     "GuestThreadResult",
     "LockStepScheduler",

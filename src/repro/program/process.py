@@ -8,9 +8,16 @@ provides the execution context:
 * a dynamic call stack (so true calling contexts are known at any moment),
 * dispatch of every heap and memory operation through an
   :class:`~repro.program.monitor.ExecutionMonitor`,
-* hooks into a :class:`~repro.program.context.ContextSource` — the calling
-  context encoding runtime — exactly where instrumented code would run:
-  function prologues and call sites,
+* the calling-context encoding, run the way targeted instrumentation
+  runs it: each frame carries ``t``, the encoding value ``V`` at its
+  entry; a call resolves its site once into a cached *site record* from
+  the :class:`~repro.program.context.TargetedContextSource`, folds ``t``
+  only at instrumented sites and charges the encoding cycles in one
+  step; a return just pops the frame, and an allocation site publishes
+  its CCID to the source.  Sources without that protocol (the stack
+  walker, the coverage tracker) get the reference hook protocol
+  instead: :meth:`~repro.program.context.ContextSource.at_call_site`,
+  ``enter_function`` and ``exit_function`` on every call,
 * cycle accounting for the deterministic performance model, and
 * an allocation profile (CCID → frequency) used by the Figure 8
   methodology of picking median-frequency CCIDs as hypothesized
@@ -26,29 +33,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..allocator.base import Allocator
 from .blocks import BasicBlock
 from .callgraph import CallGraph, CallSite
-from .context import ContextSource, NullContextSource
+from .context import (
+    ContextSource,
+    NullContextSource,
+    SiteRecord,
+    TargetedContextSource,
+)
 from .cost import CycleMeter
 from .monitor import DirectMonitor, ExecutionMonitor
 from .values import TaggedValue
 
-
-class Frame:
-    """One dynamic activation record.
-
-    A plain ``__slots__`` class rather than a dataclass: frames are
-    created and destroyed on every guest call, making this one of the
-    hottest object types in the simulator.
-    """
-
-    __slots__ = ("function", "site")
-
-    def __init__(self, function: str, site: Optional[CallSite]) -> None:
-        self.function = function
-        #: The site through which this frame was entered (None for entry).
-        self.site = site
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"Frame({self.function!r}, {self.site!r})"
+#: One dynamic activation record: ``(function, site, t)`` — the site it
+#: was entered through (None for the entry) and the encoding value at
+#: its entry (0 on the hook path, where the source keeps it).  A plain
+#: tuple: frames are created and destroyed on every guest call.
+Frame = Tuple[str, Optional[CallSite], int]
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,9 @@ class AllocationEvent:
 
 class ProcessError(RuntimeError):
     """Guest-program structural error (bad call protocol, etc.)."""
+
+
+NO_FRAME = "no active frame; use run()"
 
 
 class Process:
@@ -120,22 +122,24 @@ class Process:
                                 else capture_context)
         self.track_live = track_live
 
-        # Hot-path bindings: the call/alloc protocol runs these on every
-        # guest call; binding them once removes repeated attribute walks.
+        #: Targeted sources get the frame-carried protocol; any other
+        #: source gets the per-call hooks (the reference path).
         source = self.context_source
-        self._at_call_site = source.at_call_site
-        self._enter_function = source.enter_function
-        self._exit_function = source.exit_function
-        self._current_ccid = source.current_ccid
-        #: A *null* source's hooks are all no-ops and its CCID is the
-        #: constant 0, so the call/alloc protocol may skip invoking them
-        #: — observationally identical, measurably faster.
-        self._null_context = type(source) is NullContextSource
-        self._charge = self.meter.charge
+        self._targeted = isinstance(source, TargetedContextSource)
+        # Hot-path bindings.  Both dicts are the meters' own
+        # ``by_category``, which is cleared in place, never rebound.
+        self._counts = self.meter.by_category
+        self._encoding_counts = (
+            source.meter.by_category
+            if isinstance(source, TargetedContextSource)
+            and source.meter is not None else None)
         self._call_cost = self.meter.model.call
-        #: (caller, callee, label) -> resolved CallSite; populated only
-        #: while the graph is frozen (site ids are stable then).
-        self._site_cache: Dict[Tuple[str, str, str], CallSite] = {}
+        self._compute = self.monitor.compute
+        #: (caller, callee, label) -> site record of a call and of an
+        #: allocation; populated only while the graph is frozen (site
+        #: ids are stable then).
+        self._call_records: Dict[Tuple[str, str, str], SiteRecord] = {}
+        self._alloc_records: Dict[Tuple[str, str, str], SiteRecord] = {}
 
         self._stack: List[Frame] = []
         #: The call site of the allocation currently being dispatched;
@@ -162,8 +166,8 @@ class Process:
     def current_function(self) -> str:
         """Name of the function currently executing."""
         if not self._stack:
-            raise ProcessError("no active frame; use run() or enter()")
-        return self._stack[-1].function
+            raise ProcessError(NO_FRAME)
+        return self._stack[-1][0]
 
     @property
     def depth(self) -> int:
@@ -172,30 +176,44 @@ class Process:
 
     def current_context(self) -> Tuple[int, ...]:
         """The true calling context: site ids from the entry downward."""
-        return tuple(frame.site.site_id for frame in self._stack
-                     if frame.site is not None)
+        return tuple(site.site_id for _, site, _ in self._stack
+                     if site is not None)
 
     def run(self, program: "ProgramLike", *args: Any, **kwargs: Any) -> Any:
         """Execute ``program.main`` as the entry function."""
         if self._stack:
             raise ProcessError("process is already running")
-        self._stack.append(Frame(self.graph.entry, None))
-        self._enter_function(self.graph.entry)
+        entry = self.graph.entry
+        source = self.context_source
+        if isinstance(source, TargetedContextSource):
+            t = source.start(entry)
+        else:
+            source.enter_function(entry)
+            t = 0
+        self._stack.append((entry, None, t))
         try:
             return program.main(self, *args, **kwargs)
         finally:
-            self._exit_function(self.graph.entry)
+            if isinstance(source, TargetedContextSource):
+                source.finish()
+            else:
+                source.exit_function(entry)
             self._stack.pop()
 
-    def _site(self, caller: str, callee: str, label: str) -> CallSite:
-        """Resolve a call site, memoized while the graph is frozen."""
-        key = (caller, callee, label)
-        call_site = self._site_cache.get(key)
-        if call_site is None:
-            call_site = self.graph.site(caller, callee, label)
-            if self.graph.frozen:
-                self._site_cache[key] = call_site
-        return call_site
+    def _record(self, caller: str, callee: str, label: str,
+                enters: bool) -> SiteRecord:
+        """Resolve a site into its record, cached while the graph is
+        frozen (``enters`` is False for allocation sites)."""
+        call_site = self.graph.site(caller, callee, label)
+        source = self.context_source
+        if isinstance(source, TargetedContextSource):
+            record = source.site_record(call_site, enters)
+        else:
+            record = (call_site, None, 0)
+        if self.graph.frozen:
+            records = self._call_records if enters else self._alloc_records
+            records[(caller, callee, label)] = record
+        return record
 
     def call(self, callee: str, fn: Callable[..., Any], *args: Any,
              site: str = "", **kwargs: Any) -> Any:
@@ -205,24 +223,38 @@ class Process:
         ``site=`` disambiguates multiple sites to the same callee.  This is
         where instrumented code would execute the encoding update.
         """
-        call_site = self._site(self.current_function, callee, site)
-        self._charge("base", self._call_cost)
-        if self._null_context:
-            # Null-source fast path: the three context hooks below are
-            # no-ops; skip the calls, keep the frame discipline.
-            self._stack.append(Frame(callee, call_site))
+        stack = self._stack
+        if not stack:
+            raise ProcessError(NO_FRAME)
+        caller, _, t = stack[-1]
+        record = self._call_records.get((caller, callee, site))
+        if record is None:
+            record = self._record(caller, callee, site, True)
+        call_site, fold, cycles = record
+        counts = self._counts
+        counts["base"] = counts.get("base", 0) + self._call_cost
+        source: Any = self.context_source
+        if not self._targeted:
+            source.at_call_site(call_site)
+            stack.append((callee, call_site, 0))
+            source.enter_function(callee)
             try:
                 return fn(self, *args, **kwargs)
             finally:
-                self._stack.pop()
-        self._at_call_site(call_site)
-        self._stack.append(Frame(callee, call_site))
-        self._enter_function(callee)
+                source.exit_function(callee)
+                stack.pop()
+        source.sites_crossed += 1
+        if fold is not None:
+            t = fold(t, call_site)
+            source.updates_executed += 1
+        if cycles:
+            counts = self._encoding_counts
+            counts["encoding"] = counts.get("encoding", 0) + cycles
+        stack.append((callee, call_site, t))
         try:
             return fn(self, *args, **kwargs)
         finally:
-            self._exit_function(callee)
-            self._stack.pop()
+            stack.pop()
 
     # ------------------------------------------------------------------
     # Heap API (each allocation flows through its declared call site)
@@ -242,16 +274,42 @@ class Process:
             return False
         return call_site.site_id in capture
 
+    def _cross_alloc(self, fun: str, site: str) -> Tuple[CallSite, int]:
+        """Cross the allocation site of ``fun``; returns it and the CCID.
+
+        On the targeted path the CCID is the top frame's ``t`` folded
+        with the site, and is published to the source so that
+        ``current_ccid()`` — read by the defense and the shadow analyzer
+        while the allocation is dispatched — returns it.
+        """
+        stack = self._stack
+        if not stack:
+            raise ProcessError(NO_FRAME)
+        caller, _, t = stack[-1]
+        record = self._alloc_records.get((caller, fun, site))
+        if record is None:
+            record = self._record(caller, fun, site, False)
+        call_site, fold, cycles = record
+        self.last_alloc_site = call_site
+        source: Any = self.context_source
+        if not self._targeted:
+            source.at_call_site(call_site)
+            return call_site, source.current_ccid()
+        # The crossing of ``call``, which inlines it (its hottest path).
+        source.sites_crossed += 1
+        if fold is not None:
+            t = fold(t, call_site)
+            source.updates_executed += 1
+        if cycles:
+            counts = self._encoding_counts
+            counts["encoding"] = counts.get("encoding", 0) + cycles
+        source.v = t
+        return call_site, t
+
     def _alloc(self, fun: str, site: str, *args: int) -> int:
         if self.scheduler is not None:
             self.scheduler.checkpoint(self.scheduler_thread_id)
-        call_site = self._site(self.current_function, fun, site)
-        self.last_alloc_site = call_site
-        if self._null_context:
-            ccid = 0  # a null source's at_call_site is a no-op, CCID 0
-        else:
-            self._at_call_site(call_site)
-            ccid = self._current_ccid()
+        call_site, ccid = self._cross_alloc(fun, site)
         address = self.monitor.heap_alloc(fun, *args)
         size = args[-1] if fun != "calloc" else args[0] * args[1]
         self.alloc_profile[(fun, ccid)] += 1
@@ -298,13 +356,7 @@ class Process:
     def realloc(self, address: int, size: int, site: str = "") -> int:
         """Guest ``realloc``; retags the buffer's allocation context."""
         self._checkpoint()
-        call_site = self._site(self.current_function, "realloc", site)
-        self.last_alloc_site = call_site
-        if self._null_context:
-            ccid = 0
-        else:
-            self._at_call_site(call_site)
-            ccid = self._current_ccid()
+        call_site, ccid = self._cross_alloc("realloc", site)
         new_address = self.monitor.heap_alloc("realloc", address, size)
         self.alloc_profile[("realloc", ccid)] += 1
         self.live_allocations.pop(address, None)
@@ -343,8 +395,8 @@ class Process:
         Context work (site resolution, the encoding update, the CCID
         read) happens once — valid because every allocation of the run
         flows through the same call site, so the per-call path would
-        compute the identical CCID each time (``at_call_site`` is
-        idempotent at fixed site and depth).  Profile counts, events and
+        compute the identical CCID each time (the fold depends only on the
+        site and the caller frame's ``t``).  Profile counts, events and
         live tracking match a per-call loop exactly.  Under a lock-step
         scheduler the run is replayed per call so every allocation stays
         a preemption point.
@@ -353,13 +405,7 @@ class Process:
             return []
         if self.scheduler is not None:
             return [self.malloc(size, site=site) for size in sizes]
-        call_site = self._site(self.current_function, "malloc", site)
-        self.last_alloc_site = call_site
-        if self._null_context:
-            ccid = 0
-        else:
-            self._at_call_site(call_site)
-            ccid = self._current_ccid()
+        call_site, ccid = self._cross_alloc("malloc", site)
         addresses = self.monitor.heap_alloc_run("malloc", sizes)
         self.alloc_profile[("malloc", ccid)] += len(sizes)
         serial = self._alloc_serial
@@ -429,7 +475,7 @@ class Process:
 
     def compute(self, cycles: int) -> None:
         """Charge ``cycles`` of pure computation to the baseline."""
-        self.monitor.compute(cycles)
+        self._compute(cycles)
 
     def exec_block(self, block: BasicBlock, *args: int) -> Any:
         """Execute a pre-decoded straight-line run in one dispatch.

@@ -183,3 +183,43 @@ class TestWalkedContextSource:
             process.run(program)
             results.append([e.ccid for e in process.allocations])
         assert results[0] == results[1]
+
+
+class TestWalkerReuse:
+    class Chain(Program):
+        """main -> helper -> malloc."""
+
+        name = "chain"
+
+        def build_graph(self):
+            graph = CallGraph()
+            graph.add_call_site("main", "helper")
+            graph.add_call_site("helper", "malloc")
+            graph.add_call_site("main", "free")
+            return graph
+
+        def main(self, p):
+            p.free(p.call("helper", lambda p2: p2.malloc(16)))
+
+    @staticmethod
+    def _run(program, walker, meter):
+        before = meter.category("encoding")
+        process = Process(program.graph, heap=LibcAllocator(),
+                          context_source=walker, meter=meter)
+        process.run(program)
+        return ([e.ccid for e in process.allocations],
+                meter.category("encoding") - before)
+
+    def test_reused_walker_matches_fresh_one(self):
+        """The allocation's announced site must not survive the run and
+        turn into a phantom frame under the next run's entry."""
+        program = self.Chain()
+        meter = CycleMeter()
+        walker = WalkedContextSource(meter)
+        first = self._run(program, walker, meter)
+        second = self._run(program, walker, meter)
+        fresh_meter = CycleMeter()
+        fresh = self._run(program, WalkedContextSource(fresh_meter),
+                          fresh_meter)
+        assert first == fresh
+        assert second == fresh
