@@ -35,6 +35,7 @@ from .ccencoding import Strategy, plans_for_all_strategies
 from .core.explain import explain_patch
 from .core.pipeline import HeapTherapy
 from .defense.patch_table import PatchTable
+from .parallel.workers import JobsError, resolve_jobs
 from .patch import config as patch_config
 from .workloads.vulnerable import VulnerableProgram, workload_registry
 
@@ -144,8 +145,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     from .parallel import DiagnosisPool
     from .workloads.corpus import CorpusError, default_corpus, load_corpus
 
-    if args.jobs < 0:
-        raise _usage_error(f"--jobs must be >= 0, got {args.jobs}")
     if args.corpus:
         try:
             corpus = load_corpus(args.corpus)
@@ -153,7 +152,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise _usage_error(str(exc))
     else:
         corpus = default_corpus()
-    with DiagnosisPool(jobs=args.jobs or None,
+    with DiagnosisPool(jobs=args.jobs,
                        strategy=Strategy.from_name(args.strategy),
                        shared_pages=args.shared_pages) as pool:
         diagnosis = pool.diagnose(corpus)
@@ -191,8 +190,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.count < 1:
         raise _usage_error(f"--count must be >= 1, got {args.count}")
-    if args.jobs < 0:
-        raise _usage_error(f"--jobs must be >= 0, got {args.jobs}")
     campaign = run_campaign(args.seed, args.count, jobs=args.jobs,
                             minimize=args.minimize,
                             out_dir=args.out_dir,
@@ -226,13 +223,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import corpus_of, synthesize_range, synthesize_specs
     from .workloads.corpus import save_corpus
 
-    if args.jobs < 0:
-        raise _usage_error(f"--jobs must be >= 0, got {args.jobs}")
     if args.count < 1:
         raise _usage_error(f"--count must be >= 1, got {args.count}")
-    jobs = args.jobs or None
-    import os
-    resolved_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     plan_kinds = () if args.plan == "all" else (args.plan,)
 
     if args.specs:
@@ -251,11 +243,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                             else payload))
             except (KeyError, TypeError, ValueError) as exc:
                 raise _usage_error(f"--spec {path}: invalid spec: {exc}")
-        report = synthesize_specs(specs, jobs=resolved_jobs,
+        report = synthesize_specs(specs, jobs=args.jobs,
                                   plan_kinds=plan_kinds)
     else:
         report = synthesize_range(args.seed, args.count,
-                                  jobs=resolved_jobs,
+                                  jobs=args.jobs,
                                   plan_kinds=plan_kinds)
 
     print(report.render(verbose=args.verbose))
@@ -464,8 +456,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import json as json_mod
 
-    from .serving import (ServingEngine, ServingError, ServingOptions,
-                          default_workers)
+    from .serving import ServingEngine, ServingError, ServingOptions
 
     patches_text = ""
     if args.patches:
@@ -474,7 +465,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 patches_text = handle.read()
         except OSError as exc:
             raise _usage_error(f"cannot read patches file: {exc}")
-    workers = args.workers if args.workers else default_workers()
+    workers = resolve_jobs(args.workers)
     options = ServingOptions(
         service=args.service,
         workers=workers,
@@ -900,7 +891,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except JobsError as exc:
+        raise _usage_error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..parallel.fanout import fanout_map, resolve_jobs
+from ..parallel.fanout import fanout_map
+from ..parallel.workers import resolve_jobs
 from ..serving.engine import ServingEngine, ServingOptions
 from ..serving.services import serving_registry
 from .registry import PatchRegistry, SignedTable, sign_table
@@ -246,11 +247,14 @@ def _attack_plan(requests: int, attacks: int,
 def run_fleet(options: FleetOptions) -> FleetResult:
     """Run the observe → diagnose → publish → immunize loop.
 
-    Raises :class:`FleetError` on misconfiguration and lets the typed
+    Raises :class:`FleetError` on misconfiguration,
+    :class:`~repro.parallel.workers.JobsError` on a negative ``jobs``,
+    and lets the typed
     :class:`~repro.fleet.registry.RegistryError` family propagate when
     the distribution channel is tampered — callers map those to the
     usage-error exit convention.
     """
+    workers = resolve_jobs(options.jobs)
     if options.instances < 1:
         raise FleetError(
             f"instances must be >= 1, got {options.instances}")
@@ -307,8 +311,7 @@ def run_fleet(options: FleetOptions) -> FleetResult:
             strategy=options.strategy, max_admitted=options.max_admitted)
         for index in range(options.instances)
     ]
-    instances = fanout_map(_subscriber_serve, jobs,
-                           jobs=resolve_jobs(options.jobs))
+    instances = fanout_map(_subscriber_serve, jobs, jobs=workers)
 
     fleet_immune = all(inst.immune for inst in instances)
     report: Dict[str, Any] = {
@@ -353,7 +356,7 @@ def run_fleet(options: FleetOptions) -> FleetResult:
     if fleet_immune and attack_wall and all(immune_walls):
         immunization = max(0.0, max(immune_walls) - attack_wall)
     telemetry: Dict[str, Any] = {
-        "jobs": resolve_jobs(options.jobs),
+        "jobs": workers,
         "attack_wall": attack_wall,
         "immune_walls": immune_walls,
         "swap_latency": [inst.swap_latency for inst in instances],

@@ -11,8 +11,9 @@ from .engine import (
     DiagnosisPool,
     ProgramPlan,
 )
-from .fanout import fanout_map, resolve_jobs
+from .fanout import fanout_map
 from .result import CorpusDiagnosis, DiagnosisResult
+from .workers import resolve_jobs
 
 __all__ = [
     "CorpusDiagnosis",

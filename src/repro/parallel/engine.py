@@ -2,8 +2,8 @@
 
 HeapTherapy+'s offline phase is embarrassingly parallel — each attack
 report is an independent shadow-memory replay yielding ``{FUN, CCID, T}``
-patches — so :class:`DiagnosisPool` fans a corpus out over a
-``concurrent.futures.ProcessPoolExecutor``:
+patches — so :class:`DiagnosisPool` fans a corpus out over worker
+processes:
 
 * The parent instruments every workload in the corpus **once** and ships
   the pickled program plans (program + deployed codec) to each worker
@@ -21,25 +21,21 @@ patches — so :class:`DiagnosisPool` fans a corpus out over a
   (widest-``T`` conflict policy, canonical sort), so ``jobs=N`` output
   is bit-identical to ``jobs=1``.
 
-Worker lifecycle: the pool keeps its workers across
-:meth:`DiagnosisPool.diagnose` calls, as
-:class:`~repro.serving.engine.ServingEngine` does.  They fork lazily on
-the first parallel call; the initializer unpickles the program plans
-into a module global, and per-workload generators are built lazily on
-first use so a worker only pays for the workloads it actually sees.
-The pool re-forks only when a call brings a different set of
+Worker lifecycle: the pool runs on a
+:class:`~repro.parallel.workers.WorkerPool`, which forks lazily on the
+first parallel call, keeps its workers across
+:meth:`DiagnosisPool.diagnose` calls and recovers from a worker that
+dies mid-task.  Each worker builds its per-workload generators lazily
+on first use, so it only pays for the workloads it actually sees.  The
+pool re-forks only when a call brings a different set of
 ``(key, program, codec)`` objects than the live workers were shipped
-(compared by identity), or when a worker dies mid-task
-(:func:`~repro.parallel.workers.run_recovering`).  :meth:`close`, the
-context-manager exit or garbage collection release the workers.
+(compared by identity).  :meth:`close`, the context-manager exit or
+garbage collection release the workers.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -60,13 +56,7 @@ from ..workloads.corpus import (
 )
 from ..workloads.vulnerable import workload_registry
 from .result import CorpusDiagnosis, DiagnosisResult
-from .workers import (
-    cpu_slots,
-    maybe_inject_crash,
-    pin_to_cpu,
-    pool_context,
-    run_recovering,
-)
+from .workers import WorkerPool, resolve_jobs
 
 
 #: Tasks per worker in one parallel ``diagnose``: each task replays a
@@ -112,11 +102,11 @@ class _WorkerState:
     """Per-process diagnosis state (one per pool worker, or in-process
     for the serial path — both run the identical code)."""
 
-    def __init__(self, programs: Tuple[ProgramPlan, ...],
-                 quarantine_quota: int) -> None:
-        self.quarantine_quota = quarantine_quota
+    def __init__(self, plan: DiagnosisPlan) -> None:
+        self.quarantine_quota = plan.quarantine_quota
         self._programs: Dict[str, ProgramPlan] = {
-            program_plan.key: program_plan for program_plan in programs}
+            program_plan.key: program_plan
+            for program_plan in plan.programs}
         self._generators: Dict[str, OfflinePatchGenerator] = {}
 
     def _generator(self, key: str) -> OfflinePatchGenerator:
@@ -161,52 +151,17 @@ class _WorkerState:
         )
 
 
-#: The unpickled program plans of this worker process (set by the
-#: initializer).
-_STATE: Optional[_WorkerState] = None
-
-
-def _init_worker(payload: bytes, shared_pages: bool = False,
-                 slots: Any = None) -> None:
-    """Pool initializer: unpickle the program plans once per worker.
-
-    With ``shared_pages`` the worker first installs a process-wide
-    shared-memory page arena, so every replay's page frames live in
-    OS-shared segments rather than per-page private buffers (see
-    :func:`repro.machine.pagestore.install_shared_worker_store`).
-    ``slots`` pins the worker to a CPU of its own
-    (:func:`~repro.parallel.workers.pin_to_cpu`).
-    """
-    global _STATE
-    pin_to_cpu(slots)
-    if shared_pages:
-        from ..machine.pagestore import install_shared_worker_store
-
-        install_shared_worker_store("repro-diag-pages")
-    _STATE = _WorkerState(*pickle.loads(payload))
-
-
-def _diagnose_chunk(entries: Tuple[CorpusEntry, ...]
+def _diagnose_chunk(state: _WorkerState,
+                    entries: Tuple[CorpusEntry, ...]
                     ) -> List[DiagnosisResult]:
-    """Pool task: diagnose a run of corpus entries, in order.
-
-    ``REPRO_DIAG_CRASH_ENTRY`` (an entry id) and ``REPRO_DIAG_CRASH_FLAG``
-    arm the crash-recovery fault injection
-    (:func:`~repro.parallel.workers.maybe_inject_crash`).
-    """
-    assert _STATE is not None, "worker initializer did not run"
-    results = []
-    for entry in entries:
-        maybe_inject_crash("REPRO_DIAG_CRASH_ENTRY",
-                           "REPRO_DIAG_CRASH_FLAG", entry.entry_id)
-        results.append(_STATE.diagnose(entry))
-    return results
+    """Pool task: diagnose a run of corpus entries, in order."""
+    return [state.diagnose(entry) for entry in entries]
 
 
 def _chunked(entries: Tuple[CorpusEntry, ...],
              count: int) -> List[Tuple[CorpusEntry, ...]]:
     """Split ``entries`` into at most ``count`` contiguous runs."""
-    size = -(-len(entries) // count)
+    size = max(1, -(-len(entries) // count))
     return [entries[i:i + size] for i in range(0, len(entries), size)]
 
 
@@ -226,8 +181,9 @@ class DiagnosisPool:
 
     Args:
         jobs: worker processes; ``1`` (the default) runs in-process
-            through the identical worker code path, and ``None`` uses
-            the host's CPU count.
+            through the identical worker code path, and ``0`` or
+            ``None`` uses every usable CPU
+            (:func:`~repro.parallel.workers.resolve_jobs`).
         strategy/scheme/prune: instrumentation options applied when the
             pool instruments corpus workloads itself (ignored for plans
             passed explicitly to :meth:`diagnose`).
@@ -240,25 +196,17 @@ class DiagnosisPool:
                  prune: bool = False,
                  quarantine_quota: int = DEFAULT_QUOTA,
                  shared_pages: bool = False) -> None:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        self.jobs = resolve_jobs(jobs)
         self.strategy = strategy
         self.scheme = scheme
         self.prune = prune
         self.quarantine_quota = quarantine_quota
-        #: Back worker page frames with shared-memory arenas.  A
-        #: worker-process feature: the serial (jobs=1) path has no
-        #: process boundary, so the flag is a no-op there — results are
-        #: independent of frame backing either way (the determinism
-        #: tests pin this).
-        self.shared_pages = shared_pages
         #: Worker pool kept across calls (forked on the first parallel
         #: ``diagnose``), and the plan its workers were shipped — held
         #: strongly so the shipped objects' ``id``s stay unique.
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self.worker_pool = WorkerPool(
+            "diag", self.jobs, _diagnose_chunk, _WorkerState,
+            error=DiagnosisError, shared_pages=shared_pages)
         self._shipped: Optional[DiagnosisPlan] = None
 
     # ------------------------------------------------------------------
@@ -319,15 +267,16 @@ class DiagnosisPool:
                  = None) -> CorpusDiagnosis:
         """Replay every corpus entry; merge patches deterministically."""
         plan = self.build_plan(corpus, programs)
+        shipped = self._shipped
+        if (shipped is None
+                or _shipped_identity(plan) != _shipped_identity(shipped)):
+            self.worker_pool.close()
+            self._shipped = plan
         start = time.perf_counter()
-        if self.jobs == 1 or len(plan.entries) <= 1:
-            state = _WorkerState(plan.programs, plan.quarantine_quota)
-            results = [state.diagnose(entry) for entry in plan.entries]
-        else:
-            chunks = _chunked(plan.entries, self.jobs * CHUNKS_PER_JOB)
-            results = [result for chunk in run_recovering(
-                lambda: self._pool(plan), self.close, _diagnose_chunk,
-                chunks, DiagnosisError) for result in chunk]
+        chunks = _chunked(plan.entries, self.jobs * CHUNKS_PER_JOB)
+        results = [result
+                   for chunk in self.worker_pool.map(chunks, plan)
+                   for result in chunk]
         seconds = time.perf_counter() - start
         merge_start = time.perf_counter()
         tables = self._merge(results)
@@ -337,48 +286,15 @@ class DiagnosisPool:
                                merge_seconds=merge_seconds,
                                tables=tables)
 
-    def _pool(self, plan: DiagnosisPlan) -> ProcessPoolExecutor:
-        """The live worker pool, re-forked when ``plan`` brings program
-        plans other than the ones the workers were shipped."""
-        shipped = self._shipped
-        if (self._executor is not None and shipped is not None
-                and _shipped_identity(plan) == _shipped_identity(shipped)):
-            return self._executor
-        self.close()
-        try:
-            payload = pickle.dumps((plan.programs, plan.quarantine_quota),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise DiagnosisError(
-                f"diagnosis plan is not picklable ({exc!r}); parallel "
-                f"workers need pickle-clean programs and codecs — run "
-                f"with jobs=1 or make the program picklable") from None
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=pool_context(),
-            initializer=_init_worker,
-            initargs=(payload, self.shared_pages, cpu_slots(self.jobs)))
-        self._shipped = plan
-        return self._executor
-
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-            self._shipped = None
+        self.worker_pool.close()
 
     def __enter__(self) -> "DiagnosisPool":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # Deterministic merge

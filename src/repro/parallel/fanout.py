@@ -1,42 +1,31 @@
-"""Generic deterministic fan-out over the diagnosis process pool.
+"""Generic deterministic fan-out over one worker pool.
 
 :class:`~repro.parallel.engine.DiagnosisPool` is specialized to corpus
-diagnosis; :func:`fanout_map` is the reusable primitive underneath it —
+diagnosis; :func:`fanout_map` is the reusable primitive —
 "map a picklable function over items across N worker processes and
-return the results in item order".  The fuzz campaign runner shards
-seeds through it.
+return the results in item order".  The fuzz campaign runner, the
+attack synthesizer and the fleet's instances shard their work through
+it, on a :class:`~repro.parallel.workers.WorkerPool` that ships the
+function once and survives a worker crash.
 
-Determinism contract: results are returned in the order of ``items``
-(``executor.map`` semantics), never in completion order, so ``jobs=N``
-output is byte-identical to ``jobs=1`` as long as ``fn`` itself is a
-pure function of its item.
+Determinism contract: results are returned in the order of ``items``,
+never in completion order, so ``jobs=N`` output is byte-identical to
+``jobs=1`` as long as ``fn`` itself is a pure function of its item.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Sequence, TypeVar
+from typing import Any, Callable, List, Sequence, TypeVar
 
-from .workers import pool_context
+from .workers import WorkerPool, resolve_jobs
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
 
-def _init_fanout_worker(shared_pages: bool) -> None:
-    """Worker initializer: optional shared-memory page backing."""
-    if shared_pages:
-        from ..machine.pagestore import install_shared_worker_store
-
-        install_shared_worker_store("repro-fanout-pages")
-
-
-def resolve_jobs(jobs: int = 0) -> int:
-    """Normalize a jobs count (``0``/negative = host CPU count)."""
-    if jobs < 1:
-        return os.cpu_count() or 1
-    return jobs
+def _apply(fn: Callable[[Any], Any], item: Any) -> Any:
+    """Pool task: the shipped function on one item."""
+    return fn(item)
 
 
 def fanout_map(fn: Callable[[_ItemT], _ResultT],
@@ -48,16 +37,10 @@ def fanout_map(fn: Callable[[_ItemT], _ResultT],
     ``fn`` must be a module-level function and every item/result must be
     picklable (the :mod:`repro.parallel` rules).  ``jobs=1`` — or a
     single item — runs in-process through the identical code path, with
-    no executor.  ``shared_pages`` backs each worker's page frames with
-    a shared-memory arena (no-op in-process; results never depend on
-    frame backing).
+    no executor; ``0`` uses every usable CPU.  ``shared_pages`` backs
+    each worker's page frames with a shared-memory arena (no-op
+    in-process; results never depend on frame backing).
     """
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunksize = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=pool_context(),
-                             initializer=_init_fanout_worker,
-                             initargs=(shared_pages,)) as executor:
-        return list(executor.map(fn, items, chunksize=chunksize))
+    with WorkerPool("fanout", resolve_jobs(jobs), _apply,
+                    shared_pages=shared_pages) as pool:
+        return pool.map(items, fn)

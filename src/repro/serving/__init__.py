@@ -12,7 +12,6 @@ from .engine import (
     ServingOptions,
     ServingPlan,
     ServingResult,
-    default_workers,
     serve,
 )
 from .handle import PatchTableHandle, SwapError, TableVersion
@@ -42,7 +41,6 @@ __all__ = [
     "ServingSession",
     "SwapError",
     "TableVersion",
-    "default_workers",
     "diagnose_nginx_leak",
     "inject_attacks",
     "make_allocator",

@@ -9,21 +9,19 @@ defended allocator:
   :class:`~repro.serving.handle.PatchTableHandle`.  Copy-on-write swaps
   therefore take effect at the next batch boundary for every worker at
   once — no worker can serve one batch under two table versions.
-* **Dispatch** — batches feed ``N`` worker processes over a preforked
-  ``ProcessPoolExecutor`` as each worker drains, with admission
-  backpressure: at most ``min(workers, host CPUs)`` batches are in
-  flight at once, so an oversubscribed host never pays for cache
-  thrash between more CPU-bound batches than it can run.  The
-  instrumented program
-  plan — program, deployed codec, every published table text — ships
-  once through the pool initializer and per-batch messages carry only
-  the batch index (as :class:`~repro.parallel.engine.DiagnosisPool`
-  ships its plans once and sends only corpus entries).  A worker
-  that dies mid-batch costs a re-fork and a rerun of the unfinished
-  batches (:func:`~repro.parallel.workers.run_recovering`).
-  With ``shared_pages`` the workers draw page frames from a
-  shared-memory arena (:mod:`repro.machine.pagestore`) instead of
-  private buffers.
+* **Dispatch** — batches feed ``N`` worker processes of a kept
+  :class:`~repro.parallel.workers.WorkerPool` as each worker drains,
+  with admission backpressure: at most ``min(workers, usable CPUs)``
+  batches are in flight at once, so an oversubscribed host never pays
+  for cache thrash between more CPU-bound batches than it can run.
+  The instrumented program plan — program, deployed codec, every
+  published table text — ships once when the pool forks and per-batch
+  messages carry only the batch index (as
+  :class:`~repro.parallel.engine.DiagnosisPool` ships its plans once
+  and sends only corpus entries).  A worker that dies mid-batch costs a
+  re-fork and a rerun of the unfinished batches.  With
+  ``shared_pages`` the workers draw page frames from a shared-memory
+  arena (:mod:`repro.machine.pagestore`) instead of private buffers.
 * **Per-worker CCE state** — each batch is served by a fresh
   :class:`~repro.serving.session.ServingSession` owning its own encoding
   runtime (the paper's thread-local V register), allocator and process.
@@ -40,10 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -52,12 +47,7 @@ from ..ccencoding.base import Codec
 from ..core.instrument import instrument
 from ..defense.interpose import DEFAULT_ONLINE_QUOTA
 from ..defense.patch_table import PatchTable
-from ..parallel.workers import (  # noqa: F401 (MAX_POOL_REBUILDS)
-    MAX_POOL_REBUILDS,
-    maybe_inject_crash,
-    pool_context,
-    run_recovering,
-)
+from ..parallel.workers import WorkerPool, usable_cpus
 from ..patch import config as patch_config
 from ..program.program import Program
 from .handle import PatchTableHandle
@@ -209,31 +199,9 @@ class _WorkerServeState:
         )
 
 
-#: The unpickled plan of this worker process (set by the initializer).
-_STATE: Optional[_WorkerServeState] = None
-
-
-def _init_worker(payload: bytes, shared_pages: bool = False) -> None:
-    """Pool initializer: unpickle the serving plan once per worker."""
-    global _STATE
-    if shared_pages:
-        from ..machine.pagestore import install_shared_worker_store
-
-        install_shared_worker_store("repro-serve-pages")
-    _STATE = _WorkerServeState(pickle.loads(payload))
-
-
-def _serve_index(index: int) -> BatchResult:
-    """Pool task: serve one admitted batch by index.
-
-    ``REPRO_SERVE_CRASH_BATCH`` / ``REPRO_SERVE_CRASH_FLAG`` arm the
-    crash-recovery fault injection
-    (:func:`~repro.parallel.workers.maybe_inject_crash`).
-    """
-    assert _STATE is not None, "worker initializer did not run"
-    maybe_inject_crash("REPRO_SERVE_CRASH_BATCH", "REPRO_SERVE_CRASH_FLAG",
-                       str(index))
-    return _STATE.serve_batch(index)
+def _serve_index(state: _WorkerServeState, index: int) -> BatchResult:
+    """Pool task: serve one admitted batch by index."""
+    return state.serve_batch(index)
 
 
 class ServingEngine:
@@ -243,9 +211,14 @@ class ServingEngine:
                  service: Optional[ServedService] = None,
                  program: Optional[Program] = None,
                  codec: Optional[Codec] = None) -> None:
-        if options.workers < 1:
-            raise ServingError(
-                f"workers must be >= 1, got {options.workers}")
+        #: Preforked worker pool (nginx's master/worker model): spawned
+        #: lazily on the first parallel ``serve`` and reused across
+        #: calls, so repeated runs pay the fork cost once.  At most
+        #: ``min(workers, usable CPUs)`` batches are in flight.
+        self.worker_pool = WorkerPool(
+            "serve", options.workers, _serve_index, _WorkerServeState,
+            error=ServingError, shared_pages=options.shared_pages,
+            max_inflight=min(options.workers, usable_cpus()))
         if options.batch_size < 1:
             raise ServingError(
                 f"batch_size must be >= 1, got {options.batch_size}")
@@ -271,10 +244,6 @@ class ServingEngine:
             PatchTable(patch_config.loads(options.patches_text))
             if options.patches_text else PatchTable.empty())
         self.plan = self._admit()
-        #: Preforked worker pool (nginx's master/worker model): spawned
-        #: lazily on the first parallel ``serve`` and reused across
-        #: calls, so repeated runs pay the fork cost once.
-        self._executor: Optional[ProcessPoolExecutor] = None
 
     # -- admission -----------------------------------------------------
 
@@ -337,14 +306,9 @@ class ServingEngine:
     def serve(self) -> ServingResult:
         """Run every admitted batch; merge results in batch order."""
         plan = self.plan
-        n_batches = len(plan.batch_versions)
         start = time.perf_counter()
-        if self.options.workers == 1 or n_batches <= 1:
-            state = _WorkerServeState(plan)
-            batches = [state.serve_batch(index)
-                       for index in range(n_batches)]
-        else:
-            batches = self._serve_parallel(plan, n_batches)
+        batches = self.worker_pool.map(
+            range(len(plan.batch_versions)), plan)
         seconds = time.perf_counter() - start
         report = self._build_report(batches)
         peak = (plan.requests.peak_admitted
@@ -354,63 +318,15 @@ class ServingEngine:
                              workers=self.options.workers,
                              peak_admitted=peak)
 
-    def _serve_parallel(self, plan: ServingPlan,
-                        n_batches: int) -> List[BatchResult]:
-        """Dispatch with crash recovery
-        (:func:`~repro.parallel.workers.run_recovering`): a dead worker
-        costs a re-fork and a rerun of the unfinished batches, whose
-        outcomes are pure functions of (batch, table version) — the
-        ``workers=1`` oracle digest still matches.
-
-        Bounded in-flight dispatch (admission backpressure): batches go
-        to workers as they drain, but never more are in flight than the
-        host can actually run — oversubscribing a small host with
-        CPU-bound batches only buys cache thrash.
-        """
-        max_inflight = max(1, min(self.options.workers,
-                                  os.cpu_count() or 1))
-        return run_recovering(lambda: self._pool(plan, n_batches),
-                              self.close, _serve_index, range(n_batches),
-                              ServingError, max_inflight)
-
-    def _pool(self, plan: ServingPlan,
-              n_batches: int) -> ProcessPoolExecutor:
-        """The engine's preforked worker pool (created once)."""
-        if self._executor is not None:
-            return self._executor
-        try:
-            payload = pickle.dumps(plan,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise ServingError(
-                f"serving plan is not picklable ({exc!r}); parallel "
-                f"workers need pickle-clean programs and codecs — run "
-                f"with workers=1") from None
-        workers = min(self.options.workers, n_batches)
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=pool_context(),
-            initializer=_init_worker,
-            initargs=(payload, self.options.shared_pages))
-        return self._executor
-
     def close(self) -> None:
         """Shut down the preforked worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
+        self.worker_pool.close()
 
     def __enter__(self) -> "ServingEngine":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # -- deterministic merge -------------------------------------------
 
@@ -471,8 +387,3 @@ def serve(options: ServingOptions, **engine_kwargs: Any) -> ServingResult:
     """Convenience one-shot: build an engine, run it, reap the pool."""
     with ServingEngine(options, **engine_kwargs) as engine:
         return engine.serve()
-
-
-def default_workers() -> int:
-    """Host CPU count (the ``--workers 0`` CLI convention)."""
-    return os.cpu_count() or 1

@@ -149,3 +149,12 @@ class TestCli:
             main(["fleet", "--attacks", "1"])
         assert excinfo.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_jobs_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--jobs", "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "worker count must be >= 0 (0 = every usable CPU), got -1"]

@@ -2,8 +2,8 @@
 
 Fault injection is env-gated inside the pool worker
 (:func:`repro.parallel.workers.maybe_inject_crash`): exactly one worker
-SIGKILLs itself before replaying a targeted entry (an ``O_EXCL`` flag
-file makes the crash once-only), which breaks the whole
+SIGKILLs itself before replaying a targeted run of entries (an
+``O_EXCL`` flag file makes the crash once-only), which breaks the whole
 ``ProcessPoolExecutor``.  The pool must reap the broken executor,
 re-fork, resubmit only the unfinished entries and still merge tables
 byte-identical to the undisturbed ``jobs=1`` oracle.  Because the pool
@@ -17,16 +17,17 @@ from repro.parallel import DiagnosisError, DiagnosisPool
 from repro.parallel.workers import MAX_POOL_REBUILDS
 from repro.workloads.corpus import default_corpus
 
-#: An entry in the middle of the corpus, so work finishes on both sides.
-TARGET = "tiff:attack"
+#: The second of the four runs ``jobs=2`` splits the corpus into, so
+#: work finishes on both sides.
+TARGET = "diag:1"
 
 
 @pytest.fixture()
 def crash_env(monkeypatch, tmp_path):
     """Arm the once-only fault injection; yields the flag path."""
     flag = tmp_path / "crash-once"
-    monkeypatch.setenv("REPRO_DIAG_CRASH_ENTRY", TARGET)
-    monkeypatch.setenv("REPRO_DIAG_CRASH_FLAG", str(flag))
+    monkeypatch.setenv("REPRO_CRASH_TASK", TARGET)
+    monkeypatch.setenv("REPRO_CRASH_FLAG", str(flag))
     return flag
 
 
@@ -48,19 +49,19 @@ class TestCrashRecovery:
 
     def test_crash_loop_fails_typed_after_bounded_rebuilds(
             self, monkeypatch):
-        """With no once-only flag the targeted entry kills its worker on
+        """With no once-only flag the targeted run kills its worker on
         every attempt; the pool gives up with a DiagnosisError."""
-        monkeypatch.setenv("REPRO_DIAG_CRASH_ENTRY", TARGET)
-        monkeypatch.delenv("REPRO_DIAG_CRASH_FLAG", raising=False)
+        monkeypatch.setenv("REPRO_CRASH_TASK", TARGET)
+        monkeypatch.delenv("REPRO_CRASH_FLAG", raising=False)
         with DiagnosisPool(jobs=2) as pool:
             with pytest.raises(DiagnosisError) as excinfo:
                 pool.diagnose(default_corpus())
             assert "giving up" in str(excinfo.value)
             assert str(MAX_POOL_REBUILDS) in str(excinfo.value)
-            assert pool._executor is None  # the broken pool was reaped
+            assert not pool.worker_pool.pids  # the broken pool was reaped
 
     def test_serial_path_ignores_the_injector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAG_CRASH_ENTRY", TARGET)
-        monkeypatch.delenv("REPRO_DIAG_CRASH_FLAG", raising=False)
+        monkeypatch.setenv("REPRO_CRASH_TASK", TARGET)
+        monkeypatch.delenv("REPRO_CRASH_FLAG", raising=False)
         diagnosis = DiagnosisPool(jobs=1).diagnose(default_corpus())
         assert not diagnosis.failures()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.pipeline import HeapTherapy
 from repro.parallel import DiagnosisPool
+from repro.parallel.workers import JobsError, usable_cpus
 from repro.patch.model import HeapPatch, merge_patches, patch_sort_key
 from repro.vulntypes import VulnType
 from repro.workloads.corpus import (
@@ -53,12 +54,11 @@ class TestSerialPath:
 
 
 class TestJobsValidation:
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            DiagnosisPool(jobs=0)
+    def test_zero_jobs_means_usable_cpus(self):
+        assert DiagnosisPool(jobs=0).jobs == usable_cpus()
 
     def test_negative_jobs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JobsError):
             DiagnosisPool(jobs=-2)
 
     def test_none_means_cpu_count(self):

@@ -6,14 +6,21 @@ codec)`` objects.  A call with any other program object re-forks, so a
 worker never replays a program it was not shipped.  ``close()`` (or the
 ``with`` block) releases the workers and their shared-memory arenas.
 The pinned digest holds the serial output byte-for-byte to what the
-per-byte shadow implementation produced.
+per-byte shadow implementation produced.  Workers whose parent dies to
+a signal exit on their own and unlink their arenas.
 """
 
 import glob
 import hashlib
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 
+import repro
 from repro.parallel import DiagnosisPool
 from repro.workloads.corpus import (
     AttackCorpus,
@@ -49,7 +56,16 @@ def canonical(diagnosis):
 
 
 def worker_pids(pool):
-    return set(pool._executor._processes)
+    return set(pool.worker_pool.pids)
+
+
+def alive(pid):
+    """Whether ``pid`` runs (an unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def shipped_programs(corpus):
@@ -125,16 +141,17 @@ class TestWorkerReuse:
     def test_close_releases_workers_and_is_idempotent(self):
         pool = DiagnosisPool(jobs=2)
         pool.diagnose(table2_corpus())
-        processes = list(pool._executor._processes.values())
+        pids = worker_pids(pool)
+        assert len(pids) == 2
         pool.close()
         pool.close()
-        assert pool._executor is None
-        assert all(not process.is_alive() for process in processes)
+        assert not pool.worker_pool.pids
+        assert not any(alive(pid) for pid in pids)
 
     def test_serial_pool_never_forks(self):
         with DiagnosisPool(jobs=1) as pool:
             pool.diagnose(table2_corpus())
-            assert pool._executor is None
+            assert not pool.worker_pool.pids
 
 
 class TestSharedPagesLifecycle:
@@ -148,3 +165,56 @@ class TestSharedPagesLifecycle:
                 counts.append(len(diag_segments()))
         assert max(counts) == counts[0]
         assert diag_segments() == []
+
+
+#: Builds a kept diagnosis pool and a kept serving pool, records their
+#: worker pids, then dies to SIGKILL with both pools live.
+ORPHAN_SCRIPT = """
+import os, signal, sys
+from repro.parallel import DiagnosisPool
+from repro.serving import ServingEngine, ServingOptions
+from repro.workloads.corpus import table2_corpus
+
+pool = DiagnosisPool(jobs=2, shared_pages=True)
+pool.diagnose(table2_corpus())
+engine = ServingEngine(ServingOptions(
+    service="nginx", workers=2, requests=40, batch_size=10,
+    shared_pages=True))
+engine.serve()
+pids = pool.worker_pool.pids | engine.worker_pool.pids
+with open(sys.argv[1], "w") as handle:
+    handle.write(" ".join(map(str, sorted(pids))))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def arenas():
+    return set(glob.glob("/dev/shm/repro-*-pages*"))
+
+
+class TestParentDeath:
+    def test_workers_exit_and_unlink_when_parent_is_killed(self, tmp_path):
+        before = arenas()
+        pid_file = tmp_path / "pids"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(repro.__file__))
+        # No pipe to the script: orphans holding it open would hang us.
+        parent = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT, str(pid_file)],
+            env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        assert parent.wait(timeout=120) == -signal.SIGKILL
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(pids) == 4
+        try:
+            deadline = time.monotonic() + 5
+            while (any(alive(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert not any(alive(pid) for pid in pids)
+            assert arenas() - before == set()
+        finally:
+            for pid in pids:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)

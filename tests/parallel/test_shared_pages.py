@@ -16,7 +16,6 @@ worker materializes lives in ``/dev/shm`` instead of a private
 
 import glob
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import multiprocessing
 import pytest
@@ -27,8 +26,8 @@ from repro.machine.pagestore import (
     install_shared_worker_store,
     uninstall_shared_worker_store,
 )
-from repro.parallel import DiagnosisPool
-from repro.parallel.fanout import _init_fanout_worker, fanout_map
+from repro.parallel import DiagnosisPool, workers
+from repro.parallel.fanout import fanout_map
 from repro.workloads.corpus import table2_corpus
 
 
@@ -61,20 +60,20 @@ def _worker_probe(item):
     }
 
 
-def _run_pool_probe(start_method, jobs=2, items=8):
+def _run_pool_probe(monkeypatch, start_method, jobs=2, items=8):
     context = multiprocessing.get_context(start_method)
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                             initializer=_init_fanout_worker,
-                             initargs=(True,)) as executor:
-        return list(executor.map(_worker_probe, range(items)))
+    monkeypatch.setattr(workers, "pool_context", lambda: context)
+    return fanout_map(_worker_probe, range(items), jobs=jobs,
+                      shared_pages=True)
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 class TestWorkerArenas:
-    def test_workers_use_shared_arenas_and_clean_up(self, start_method):
+    def test_workers_use_shared_arenas_and_clean_up(self, start_method,
+                                                    monkeypatch):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this host")
-        results = _run_pool_probe(start_method)
+        results = _run_pool_probe(monkeypatch, start_method)
         segment_names = set()
         for result in results:
             assert result["installed"]

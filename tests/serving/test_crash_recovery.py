@@ -16,12 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.serving.engine import (
-    MAX_POOL_REBUILDS,
-    ServingError,
-    ServingOptions,
-    serve,
-)
+from repro.parallel.workers import MAX_POOL_REBUILDS
+from repro.serving.engine import ServingError, ServingOptions, serve
 
 #: Multi-batch shape with attacks on both sides of the crashed batch.
 OPTIONS = ServingOptions(service="nginx", requests=80, batch_size=10,
@@ -38,8 +34,8 @@ def canonical(result):
 def crash_env(monkeypatch, tmp_path):
     """Arm the fault injection for batch 3; yields the flag path."""
     flag = tmp_path / "crash-once"
-    monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", "3")
-    monkeypatch.setenv("REPRO_SERVE_CRASH_FLAG", str(flag))
+    monkeypatch.setenv("REPRO_CRASH_TASK", "serve:3")
+    monkeypatch.setenv("REPRO_CRASH_FLAG", str(flag))
     return flag
 
 
@@ -73,8 +69,8 @@ class TestCrashRecovery:
         """With no once-only flag, the targeted batch crashes on every
         attempt; the engine must give up after MAX_POOL_REBUILDS
         rebuilds with a ServingError instead of spinning forever."""
-        monkeypatch.setenv("REPRO_SERVE_CRASH_BATCH", "0")
-        monkeypatch.delenv("REPRO_SERVE_CRASH_FLAG", raising=False)
+        monkeypatch.setenv("REPRO_CRASH_TASK", "serve:0")
+        monkeypatch.delenv("REPRO_CRASH_FLAG", raising=False)
         with pytest.raises(ServingError) as excinfo:
             serve(OPTIONS)
         assert "giving up" in str(excinfo.value)
