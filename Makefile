@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-diagnosis bench-fleet bench-paper \
-	bench-full examples docs-check lint clean
+.PHONY: install test test-output lint bench-paper bench-output \
+	bench-full examples clean
 
 install:
 	pip install -e .
@@ -32,29 +32,6 @@ lint:
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi
 
-# Wall-clock perf harness: writes BENCH_<suite>.json files, gating
-# against every committed BENCH_*.json baseline in the repo root
-# (substrate, services, layout; directory form of --baseline).
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench --suite all \
-		--baseline .
-
-# Parallel patch-factory scaling curve: writes BENCH_diagnosis.json,
-# gating against the committed baseline.  Multi-worker entries only
-# gate between hosts with the same CPU count (meta.cpus); jobs=1
-# throughput always gates.
-bench-diagnosis:
-	PYTHONPATH=src $(PYTHON) -m repro bench --suite diagnosis \
-		--out-dir benchmarks/results \
-		--baseline benchmarks/results/BENCH_diagnosis.json
-
-# Fleet immunization curve: post-swap capacity over fleet sizes
-# {1,2,4,8}, with swap-latency and immunization-time extras; gates
-# against the committed BENCH_fleet.json baseline.
-bench-fleet:
-	PYTHONPATH=src $(PYTHON) -m repro bench --suite fleet \
-		--baseline .
-
 # Paper tables/figures microbenchmarks (pytest-benchmark timings only).
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -73,6 +50,10 @@ examples:
 	done
 	@echo "all examples ran cleanly"
 
+# Generated output only: the tracked paper results under
+# benchmarks/results stay; untracked files there are removed.
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis perfbench/out \
+		test_output.txt bench_output.txt
+	git clean -fq -- benchmarks/results
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -11,7 +11,7 @@ Two experiments around :mod:`repro.analysis.layout`:
    false-positive rate is recorded.
 
 2. **Throughput** — layout graphs analyzed per second over the builtin
-   corpus, the pytest-benchmark companion to ``BENCH_layout.json``.
+   corpus, timed with pytest-benchmark.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@
     python -m repro encode heartbleed --strategy incremental
     python -m repro lint --encoding
     python -m repro verify-encoding --spec --json certificates.json
-    python -m repro bench --suite substrate --baseline BENCH_substrate.json
 
 Each command exercises the same public API an embedding application
 would use; the CLI exists so the system can be explored without writing
@@ -547,18 +546,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0 if result.immune else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf-regression harness (see :mod:`repro.bench`)."""
-    from .bench.harness import run_bench
-
-    return run_bench(suites=args.suite, scale=args.scale,
-                     repeat=args.repeat, out_dir=args.out_dir,
-                     baseline=args.baseline,
-                     max_regression_pct=args.max_regression,
-                     profile=args.profile,
-                     verify_equivalence=args.verify_equivalence)
-
-
 def cmd_encode(args: argparse.Namespace) -> int:
     """Show per-strategy instrumentation statistics."""
     from .core.instrument import instrument
@@ -877,12 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH",
                    help="write the report to PATH instead of stdout")
     p.set_defaults(func=cmd_fleet)
-
-    from .bench.harness import add_bench_arguments
-    p = sub.add_parser("bench", help="run the substrate/service perf "
-                                     "harness; emits BENCH_*.json")
-    add_bench_arguments(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

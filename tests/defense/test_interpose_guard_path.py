@@ -20,6 +20,7 @@ from repro.defense.metadata import (
     METADATA_SIZE,
     BufferMetadata,
     MetadataError,
+    guard_page_of,
     overflow_word,
 )
 from repro.defense.patch_table import PatchTable
@@ -170,3 +171,36 @@ class TestFreeRunFaults:
                              defended.stats.snapshot()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == 2
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATORS))
+    @pytest.mark.parametrize("batched", [True, False],
+                             ids=["free_run", "free"])
+    def test_unseal_fault_fails_closed_and_retry_releases(self, kind,
+                                                          batched):
+        """A faulted unseal leaves the chunk allocated and its guard
+        sealed; once the fault clears, retrying the same free releases
+        everything."""
+        injector = FaultInjector({"mprotect": 0}, armed=False)
+        defended = make_defended(kind, fun="calloc", injector=injector)
+        memory = defended.memory
+        guarded = defended.calloc(4, 16)
+        last = defended.malloc(48)
+        guard = guard_page_of(memory.read_word(guarded - METADATA_SIZE))
+        injector.arm()
+        with pytest.raises(MachineError):
+            if batched:
+                defended.free_run([guarded, last])
+            else:
+                defended.free(guarded)
+        assert memory.protection_of(guard) == PROT_NONE
+        assert defended.underlying.live_buffer_count == 2
+        assert defended.stats.live_buffers == 2
+        injector.disarm()
+        if batched:
+            defended.free_run([guarded, last])
+        else:
+            defended.free(guarded)
+            defended.free(last)
+        assert defended.underlying.live_buffer_count == 0
+        assert defended.stats.live_buffers == 0
+        assert defended.stats.bytes_live == 0

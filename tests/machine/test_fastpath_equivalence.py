@@ -1,7 +1,13 @@
 """Fast-path equivalence: the optimized memory paths must be
 observation-identical to the slow validator (``fast_paths=False``) —
 same fault addresses, same residency accounting, same cycle totals.
+
+:class:`TestSubstrateEquivalence` is the hard gate CI runs in its own
+step: a guest loop executed as batched blocks on the fast paths against
+the same loop interpreted op by op on the slow validator.
 """
+
+from array import array
 
 import pytest
 
@@ -11,10 +17,13 @@ from repro.machine import (
     PROT_NONE,
     PROT_READ,
     PROT_RW,
+    MapError,
     SegmentationFault,
     VirtualMemory,
 )
+from repro.program.blocks import BasicBlock, BlockBuilder
 from repro.program.callgraph import CallGraph
+from repro.program.monitor import DirectMonitor
 from repro.program.process import Process, ProgramLike
 
 
@@ -180,3 +189,191 @@ class TestObservationEquivalence:
             process.run(program, 50)
             snapshots.append(process.meter.snapshot())
         assert snapshots[0] == snapshots[1]
+
+
+def _aligned_across_pages(mem, base):
+    start = base + PAGE_SIZE - 24
+    mem.write_words(start, array("Q", range(1, 11)))
+    return mem.read_words(start, 10).tolist(), mem.read(start, 16)
+
+
+def _unaligned_byte_fallback(mem, base):
+    start = base + PAGE_SIZE - 21
+    mem.write_words(start, [0x0102030405060708, 0xFFFF])
+    return mem.read_words(start, 2).tolist(), mem.read(start - 3, 6)
+
+
+def _zero_count_and_empty_values(mem, base):
+    """An empty write is a no-op; a zero-word read is a zero-size
+    access, rejected like ``read(address, 0)``."""
+    mem.write_words(base, [])
+    mem.write_words(base + 4, array("Q"))
+    with pytest.raises(MapError) as caught:
+        mem.read_words(base, 0)
+    return str(caught.value)
+
+
+def _list_values_masked(mem, base):
+    mem.write_words(base + 8, [(1 << 64) + 5, (1 << 70) | 7])
+    return mem.read_words(base + 8, 2).tolist()
+
+
+def _write_into_read_only_page(mem, base):
+    mem.mprotect(base + PAGE_SIZE, PAGE_SIZE, PROT_READ)
+    start = base + PAGE_SIZE - 16
+    offset = _fault_address(
+        lambda: mem.write_words(start, [1, 2, 3, 4])) - base
+    return offset, mem.read_words(start, 4).tolist()
+
+
+class TestWordSpanEquivalence:
+    """``read_words``/``write_words`` on the fast paths against the same
+    calls on the slow validator."""
+
+    @pytest.mark.parametrize("workout, want", [
+        (_aligned_across_pages,
+         ((list(range(1, 11)), array("Q", [1, 2]).tobytes()), 0, 2)),
+        (_unaligned_byte_fallback,
+         (([0x0102030405060708, 0xFFFF],
+           bytes(3) + bytes.fromhex("080706")), 0, 1)),
+        (_zero_count_and_empty_values,
+         ("invalid access size 0", 0, 0)),
+        (_list_values_masked, ([5, 7], 0, 1)),
+        (_write_into_read_only_page,
+         ((PAGE_SIZE, [0, 0, 0, 0]), 1, 0)),
+    ])
+    def test_same_words_faults_and_residency(self, workout, want):
+        """Each mode runs ``workout`` on a fresh two-page RW mapping;
+        both give ``want``: (result, fault_count, resident_pages)."""
+        for mem in _pair():
+            base = mem.mmap(2 * PAGE_SIZE, prot=PROT_RW)
+            got = workout(mem, base)
+            assert (got, mem.fault_count, mem.resident_pages) == want
+
+
+class _GuestLoop(ProgramLike):
+    """Synthetic guest: per iteration a call, an allocation, a
+    straight-line run of memory traffic (clear the buffer, stamp a
+    header, scan/branch, copy half the buffer forward), and a free —
+    the instruction mix of the service workloads, reduced to a counted
+    loop.
+
+    The straight-line run between ``malloc`` and ``free`` is pre-decoded
+    into one :class:`~repro.program.blocks.BasicBlock` per distinct
+    buffer size and dispatched with ``exec_block``, the batched path.
+
+    Guest instructions are counted at word granularity, exactly like
+    :meth:`~repro.program.cost.CostModel.mem_cost` charges them: a
+    ``size``-byte fill is ``size/8`` word stores, a copy is loads plus
+    stores (``BasicBlock.instructions`` is the per-block count).
+    ``call``, ``malloc`` and ``free`` count one instruction each."""
+
+    def __init__(self) -> None:
+        graph = CallGraph(entry="main")
+        graph.add_call_site("main", "work")
+        graph.add_call_site("work", "malloc", "buf")
+        self.graph = graph.freeze()
+        self._blocks = tuple(self._build_block(64 + k * 32)
+                             for k in range(7))
+        #: Instructions per iteration, by size class: call + malloc +
+        #: free + the block's word-granular count.
+        self._iter_instructions = tuple(
+            3 + block.instructions for block in self._blocks)
+
+    @staticmethod
+    def _build_block(size: int) -> BasicBlock:
+        builder = BlockBuilder()
+        builder.fill(0, 0, size, 0)
+        builder.write(0, 0, b"\x2a" * 16)
+        builder.branch_on(builder.read(0, 0, 8))
+        builder.write_arg(0, 8, 1)  # store loop counter at buf+8
+        slot = builder.read_int(0, 8)
+        builder.branch_on(slot)
+        builder.copy(0, size // 2, 0, 0, size // 2)
+        builder.write_value(0, 16, slot)
+        builder.compute(5)
+        return builder.build()
+
+    def instruction_count(self, iters: int) -> int:
+        """Exact guest instructions ``main(iters)`` executes."""
+        per_cycle = sum(self._iter_instructions)
+        full, rest = divmod(iters, len(self._iter_instructions))
+        return full * per_cycle + sum(self._iter_instructions[:rest])
+
+    def main(self, process: Process, iters: int) -> int:
+        work = self._work
+        for i in range(iters):
+            process.call("work", work, i)
+        return self.instruction_count(iters)
+
+    def _work(self, process: Process, i: int) -> None:
+        slot = i % 7
+        buf = process.malloc(64 + slot * 32, site="buf")
+        process.exec_block(self._blocks[slot], buf, i)
+        process.free(buf)
+
+
+class _GuestLoopPerOp(_GuestLoop):
+    """The per-instruction twin of :class:`_GuestLoop`: every block is
+    interpreted op by op through the ordinary ``Process`` methods."""
+
+    def _work(self, process: Process, i: int) -> None:
+        slot = i % 7
+        buf = process.malloc(64 + slot * 32, site="buf")
+        self._blocks[slot].interpret(process, (buf, i))
+        process.free(buf)
+
+
+#: Guest-loop iterations: every size class, many times over.
+GUEST_ITERS = 150
+
+
+def substrate_mismatches():
+    """Run the guest loop batched on the fast paths and per-op on the
+    slow validator; return the observables that differ (empty means
+    equivalent)."""
+
+    def observe(program, fast_paths):
+        memory = VirtualMemory(fast_paths=fast_paths)
+        heap = LibcAllocator(memory)
+        process = Process(program.graph, heap=heap,
+                          record_allocations=False)
+        result = process.run(program, GUEST_ITERS)
+        return {
+            "instructions": result,
+            "meter": process.meter.snapshot(),
+            "alloc_stats": heap.stats.snapshot(),
+            "alloc_profile": dict(process.alloc_profile),
+            "fault_count": memory.fault_count,
+            "resident_pages": memory.resident_pages,
+            "peak_resident_pages": memory.peak_resident_pages,
+        }
+
+    batched = observe(_GuestLoop(), fast_paths=True)
+    validated = observe(_GuestLoopPerOp(), fast_paths=False)
+    return [f"{key} diverged: batched {batched[key]!r} != per-op "
+            f"validator {validated[key]!r}"
+            for key in batched if batched[key] != validated[key]]
+
+
+class TestSubstrateEquivalence:
+    """Batched blocks on the fast paths == per-op interpretation on the
+    ``fast_paths=False`` validator, on every simulated observable."""
+
+    def test_batched_guest_loop_matches_per_op_validator(self):
+        assert substrate_mismatches() == []
+
+    def test_planted_block_divergence_is_caught(self, monkeypatch):
+        """One extra cycle charged by the fused block path must fail the
+        gate on the meter, so the gate is not vacuous."""
+        real = DirectMonitor.exec_block
+
+        def exec_block(self, block, args):
+            outputs = real(self, block, args)
+            self.compute(1)
+            return outputs
+
+        monkeypatch.setattr(DirectMonitor, "exec_block", exec_block)
+        mismatches = substrate_mismatches()
+        assert len(mismatches) == 1
+        assert mismatches[0].startswith("meter diverged")
