@@ -95,25 +95,22 @@ def request_to_chunk_size(request: int) -> int:
 
 def write_chunk(mem: VirtualMemory, base: int, size: int, prev_size: int,
                 in_use: bool) -> None:
-    """Write a chunk header at ``base``.
-
-    The two header words are emitted as one word-pair store: ``base`` is
-    16-aligned, so the store never crosses a page and always takes the
-    memory system's single-translation word-view fast path.
-    """
+    """Write a chunk header at ``base``: the ``prev_size`` word, then the
+    size word."""
     if size % CHUNK_ALIGN or size < MIN_CHUNK_SIZE:
         raise ValueError(f"illegal chunk size {size}")
-    mem.write_word_pair(base, prev_size,
-                        (size | IN_USE) if in_use else size)
+    mem.write_word(base, prev_size)
+    mem.write_word(base + 8, (size | IN_USE) if in_use else size)
 
 
 def read_header(mem: VirtualMemory, base: int) -> Tuple[int, int, bool]:
     """Decode the header at ``base`` as ``(size, prev_size, in_use)``.
 
     The tuple-returning twin of :func:`read_chunk` for the allocator's
-    hot paths: one word-pair load, no dataclass construction.
+    hot paths: two word loads, no dataclass construction.
     """
-    prev_size, size_word = mem.read_word_pair(base)
+    prev_size = mem.read_word(base)
+    size_word = mem.read_word(base + 8)
     return (size_word & _SIZE_MASK, prev_size,
             bool(size_word & IN_USE))
 

@@ -24,7 +24,7 @@ Design, following dlmalloc/ptmalloc at small scale:
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..machine.errors import DoubleFree, InvalidFree, OutOfMemoryError
 from ..machine.layout import (
@@ -161,7 +161,6 @@ class LibcAllocator(Allocator):
         #: malloc/free skip two attribute walks per heap call.
         self._read_word = self.memory.read_word
         self._write_word = self.memory.write_word
-        self._write_word_pair = self.memory.write_word_pair
         self._record_malloc = self.stats.record_malloc
         self._record_free = self.stats.record_free
 
@@ -225,47 +224,6 @@ class LibcAllocator(Allocator):
                 self.memory.munmap(map_base, length)
                 return
         self._free_chunk(address - HEADER_SIZE, chunk_size)
-
-    # -- batched entry points (fused loops; see Allocator.malloc_run) --
-
-    def malloc_run(self, sizes: Sequence[int]) -> List[int]:
-        allocate_chunk = self._allocate_chunk
-        live = self._live
-        out: List[int] = []
-        append = out.append
-        for size in sizes:
-            if size + HEADER_SIZE >= MMAP_THRESHOLD:
-                user = self._alloc_mmapped(size)
-            else:
-                base, chunk_size = allocate_chunk(
-                    request_to_chunk_size(size))
-                user = base + HEADER_SIZE
-                live[user] = chunk_size
-            append(user)
-        self.stats.record_malloc_run(sizes)
-        return out
-
-    def free_run(self, addresses: Sequence[int]) -> None:
-        live = self._live
-        mmapped = self._mmapped
-        free_chunk = self._free_chunk
-        usables: List[int] = []
-        append = usables.append
-        for address in addresses:
-            if address == 0:
-                continue
-            chunk_size = live.pop(address, None)
-            if chunk_size is None:
-                self._validate_live(address, "free")
-            append(chunk_size - HEADER_SIZE)
-            if mmapped:
-                mapping = mmapped.pop(address, None)
-                if mapping is not None:
-                    map_base, length, _ = mapping
-                    self.memory.munmap(map_base, length)
-                    continue
-            free_chunk(address - HEADER_SIZE, chunk_size)
-        self.stats.record_free_run(usables)
 
     def realloc(self, address: int, size: int) -> int:
         if address == 0:
@@ -558,12 +516,14 @@ class LibcAllocator(Allocator):
         either way — its free header can be written directly, skipping
         _free_chunk's probes and the transient in-use header store.
         """
-        prev_size = self._read_word(base)
-        # Direct pair stores: sizes here are legal by construction, so
-        # write_chunk's validation wrapper is pure per-call overhead.
-        self._write_word_pair(base, prev_size, csize | IN_USE)
+        # Direct header stores: sizes here are legal by construction, and
+        # the chunk's prev_size word is already in place, so only its
+        # size word changes.
+        write_word = self._write_word
+        write_word(base + 8, csize | IN_USE)
         tail = base + csize
-        self._write_word_pair(tail, csize, remainder)
+        write_word(tail, csize)
+        write_word(tail + 8, remainder)
         self._set_successor_prev_size(tail, remainder)
         self._bin_insert(tail, remainder)
         return base, csize
@@ -574,8 +534,8 @@ class LibcAllocator(Allocator):
         if needed > 0:
             self.memory.sbrk(page_align_up(max(needed, GROWTH_MIN)))
         base = self._top
-        self._write_word_pair(base, self._top_prev_size,
-                              csize | IN_USE)
+        self._write_word(base, self._top_prev_size)
+        self._write_word(base + 8, csize | IN_USE)
         self._top = base + csize
         if self._top > self._top_max:
             self._top_max = self._top
@@ -683,8 +643,10 @@ class LibcAllocator(Allocator):
         # case returned above, so the successor is strictly below the
         # top and its prev_size is a direct store; the bin insert is
         # the small-bin append in every non-huge workload.
-        self._write_word_pair(base, prev_size, size)
-        self._write_word(base + size, size)
+        write_word = self._write_word
+        write_word(base, prev_size)
+        write_word(base + 8, size)
+        write_word(base + size, size)
         free_index[base] = size
         if size <= SMALL_MAX:
             index = size // CHUNK_ALIGN

@@ -240,15 +240,8 @@ class SegregatedAllocator(Allocator):
                 self._retired.difference_update(out)
             self.stats.record_malloc_run(sizes)
             return out
-        allocate = self._allocate
-        out = []
-        append = out.append
-        for size in sizes:
-            if size < 0:
-                raise ValueError("malloc: negative size")
-            append(allocate(size))
-        self.stats.record_malloc_run(sizes)
-        return out
+        malloc = self.malloc
+        return [malloc(size) for size in sizes]
 
     def free_run(self, addresses: Sequence[int]) -> None:
         # Bulk-pop every entry first (C-speed ``map``), then release by
@@ -264,13 +257,14 @@ class SegregatedAllocator(Allocator):
         entries = list(map(objects.pop, live, repeat(None, n)))
         if None in entries:
             # Unknown or double free somewhere in the run: restore the
-            # popped entries and replay scalar, which releases the
-            # prefix and raises the canonical error at the bad address.
+            # popped entries and replay scalar, which releases (and
+            # records) the prefix and raises the canonical error at the
+            # bad address.
             for address, entry in zip(live, entries):
                 if entry is not None:
                     objects[address] = entry
             for address in live:
-                self._release(address)
+                self.free(address)
         first = entries[0]
         if first[0] == "slot":
             if entries.count(first) == n:

@@ -129,27 +129,20 @@ class DefendedAllocator(Allocator):
         # read"; the per-function patch maps are frozen at table-freeze
         # time, so caching them turns the lookup into one dict probe.
         self._current_ccid = self.context_source.current_ccid
-        #: True when even the CCID read may be elided for functions the
-        #: frozen table provably never patches (fused fast path): the
-        #: read must be a pure register read (see
+        #: True when the CCID read may be elided for functions the
+        #: frozen table provably never patches: the read must be a pure
+        #: register read (see
         #: :attr:`~repro.program.context.ContextSource.pure_ccid`).
         self._pure_ccid = bool(getattr(self.context_source,
                                        "pure_ccid", False))
         #: fun -> object with ``.get(ccid) -> Optional[HeapPatch]``:
         #: a frozen per-function map, or a :class:`_LookupView`.
         self._fun_patches: Dict[str, Any] = {}
-        #: The table is frozen for this allocator's lifetime, so the
-        #: fused-malloc precondition (provably no malloc patches + pure
-        #: CCID read) is one precomputed bool, and the hot calls the
-        #: fused paths make are prebound methods — malloc/free pay no
-        #: attribute walks beyond one flag test each.
-        self._fused_malloc = (not self._patches_for("malloc")
-                              and self._pure_ccid)
+        # Hot callees, prebound once: none of these objects is rebound.
         self._underlying_malloc = underlying.malloc
         self._underlying_free = underlying.free
         self._write_word = self.memory.write_word
         self._read_word = self.memory.read_word
-        self._record_malloc = self.stats.record_malloc
         self._record_free = self.stats.record_free
         #: Buffers currently enhanced, by defense kind (for reports).
         self.enhanced_counts = {
@@ -177,24 +170,7 @@ class DefendedAllocator(Allocator):
     # ------------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
-        # Fused un-patched fast path, inlined: ``malloc`` is the hottest
-        # entry point, and when the frozen table provably has no malloc
-        # patches (empty per-fun map) and the CCID read is pure, the
-        # whole interposition sequence collapses to one underlying call
-        # plus the metadata-word stamp.  Observation-identical to
-        # ``_allocate`` (which handles every other case).
-        meter = self.meter
-        if meter is not None:
-            model = meter.model
-            meter.charge("interpose", model.interpose)
-            meter.charge("metadata", model.metadata)
-            meter.charge("lookup", model.hash_lookup)
-        if self._fused_malloc and 0 <= size <= _MAX_INLINE_SIZE:
-            raw = self._underlying_malloc(METADATA_SIZE + size)
-            self._write_word(raw, size << _METADATA_SIZE_SHIFT)
-            self._record_malloc(size)
-            return raw + METADATA_SIZE
-        return self._allocate("malloc", size, _charged=meter is not None)
+        return self._allocate("malloc", size)
 
     def malloc_run(self, sizes: Sequence[int]) -> List[int]:
         """Batched ``malloc``: one same-call-site run of requests.
@@ -216,49 +192,28 @@ class DefendedAllocator(Allocator):
             meter.charge("interpose", model.interpose * n)
             meter.charge("metadata", model.metadata * n)
             meter.charge("lookup", model.hash_lookup * n)
-        if not self._pure_ccid:
-            # The CCID read has observable effects; take it per entry.
-            return [self._allocate("malloc", size, _charged=True)
-                    for size in sizes]
-        patches = self._fun_patches.get("malloc")
-        if patches is None:
-            patches = self._patches_for("malloc")
-        patch = patches.get(self._current_ccid()) if patches else None
-        if patch is None:
-            if 0 <= min(sizes) and max(sizes) <= _MAX_INLINE_SIZE:
-                # Whole-run fast path: one batched underlying request,
-                # then stamp the metadata words in one scattered write.
-                # Uniform runs (the request-batch shape) build their
-                # size and stamp lists as C-speed repeats.
-                first = sizes[0]
-                if sizes.count(first) == n:
-                    padded = [METADATA_SIZE + first] * n
-                    stamps = [first << _METADATA_SIZE_SHIFT] * n
-                else:
-                    padded = [METADATA_SIZE + size for size in sizes]
-                    stamps = [size << _METADATA_SIZE_SHIFT
-                              for size in sizes]
-                raws = self.underlying.malloc_run(padded)
-                self.memory.write_word_scatter(raws, stamps)
+        if self._pure_ccid:
+            # An impure CCID read has observable effects, so only a pure
+            # one is hoisted; otherwise every entry takes the per-call
+            # path below.
+            patches = self._fun_patches.get("malloc")
+            if patches is None:
+                patches = self._patches_for("malloc")
+            patch = patches.get(self._current_ccid()) if patches else None
+            if (patch is None and 0 <= min(sizes)
+                    and max(sizes) <= _MAX_INLINE_SIZE):
+                # Whole-run Structure 1: one batched underlying request,
+                # then stamp each metadata word (``size << 4``).
+                raws = self.underlying.malloc_run(
+                    [METADATA_SIZE + size for size in sizes])
+                write_word = self._write_word
+                for raw, size in zip(raws, sizes):
+                    write_word(raw, size << _METADATA_SIZE_SHIFT)
                 self.stats.record_malloc_run(sizes)
                 return [raw + METADATA_SIZE for raw in raws]
-            underlying_malloc = self._underlying_malloc
-            write_word = self._write_word
-            record = self._record_malloc
-            out = []
-            append = out.append
-            for size in sizes:
-                if not 0 <= size <= _MAX_INLINE_SIZE:
-                    append(self._allocate("malloc", size, _charged=True))
-                    continue
-                raw = underlying_malloc(METADATA_SIZE + size)
-                write_word(raw, size << _METADATA_SIZE_SHIFT)
-                record(size)
-                append(raw + METADATA_SIZE)
-            return out
-        if patch.vuln == _OVERFLOW:
-            allocate_guarded = self._allocate_guarded
-            return [allocate_guarded("malloc", size) for size in sizes]
+            if patch is not None and patch.vuln == _OVERFLOW:
+                allocate_guarded = self._allocate_guarded
+                return [allocate_guarded("malloc", size) for size in sizes]
         return [self._allocate("malloc", size, _charged=True)
                 for size in sizes]
 
@@ -317,7 +272,7 @@ class DefendedAllocator(Allocator):
             ccid = self._current_ccid()
             patch = patches.get(ccid)
         else:
-            # Fused precondition: the frozen per-function map is *empty*
+            # Elided read: the frozen per-function map is *empty*
             # — no CCID of ``fun`` can match a patch — and the CCID read
             # is a pure register read.  Skip it entirely.  (A lookup
             # view without ``per_fun`` can never prove emptiness; it is
@@ -330,12 +285,10 @@ class DefendedAllocator(Allocator):
             # no guard, no zero-fill, no alignment.  Request metadata
             # word + user bytes, stamp the word (vuln NONE, unaligned:
             # the encoding degenerates to ``size << 4``), done.
-            raw = self.underlying.malloc(METADATA_SIZE + size)
-            user = raw + METADATA_SIZE
-            self.memory.write_word(user - METADATA_SIZE,
-                                   size << _METADATA_SIZE_SHIFT)
+            raw = self._underlying_malloc(METADATA_SIZE + size)
+            self._write_word(raw, size << _METADATA_SIZE_SHIFT)
             self.stats.record_alloc(fun, size)
-            return user
+            return raw + METADATA_SIZE
         if patch is not None and not aligned and patch.vuln == _OVERFLOW:
             return self._allocate_guarded(fun, size, zero)
 
@@ -521,8 +474,8 @@ class DefendedAllocator(Allocator):
             meter.charge("interpose", model.interpose * n)
             meter.charge("metadata", model.metadata * n)
         live = [address for address in addresses if address]
-        words = self.memory.read_word_gather(
-            [address - METADATA_SIZE for address in live])
+        read_word = self._read_word
+        words = [read_word(address - METADATA_SIZE) for address in live]
         if not any(word & 0xF for word in words):
             # All plain (the steady-state batch): release the whole run
             # in one batched underlying call.
@@ -570,12 +523,10 @@ class DefendedAllocator(Allocator):
         allocating.  Publication order makes every lookup see one
         internally consistent table version, old or new, never a mix:
 
-        1. clear :attr:`_fused_malloc` — readers stop skipping lookups;
-        2. publish the new frozen table;
-        3. drop the per-function probe cache — stale maps derived from
+        1. publish the new frozen table;
+        2. drop the per-function probe cache — stale maps derived from
            the old table are unreachable after this store (probes that
-           raced step 2 cached into the *old* dict, which dies here);
-        4. recompute the fused-malloc precondition against the new table.
+           raced step 1 cached into the *old* dict, which dies here).
 
         Live enhanced buffers keep the structures their allocation-time
         table gave them — their self-describing metadata words make frees
@@ -584,11 +535,8 @@ class DefendedAllocator(Allocator):
         """
         if not table.frozen:
             raise ValueError("patch table must be frozen before use")
-        self._fused_malloc = False
         self.table = table
         self._fun_patches = {}
-        self._fused_malloc = (not self._patches_for("malloc")
-                              and self._pure_ccid)
 
     # ------------------------------------------------------------------
     # Realloc & queries

@@ -27,13 +27,11 @@ entire benchmark suite is bottlenecked on this file):
   round trip;
 * ``read``/``write``/``fill`` take a *single-page fast path* when the
   access fits in one page — the overwhelmingly common case — doing one
-  dict probe and one slice instead of the general page-walk;
-* a one-entry *translation cache* (page → (prot, frame, words)) and
-  dedicated ``read_word``/``write_word``/``read_word_pair``/
-  ``write_word_pair`` fast paths short-circuit even that probe for runs
-  of accesses to the same page; the cache is invalidated by
-  ``mprotect``/``munmap``/``sbrk`` shrink, and updated whenever a cached
-  page's frame is first materialized;
+  protection probe, one frame probe and one slice instead of the
+  general page-walk;
+* aligned ``read_word``/``write_word`` are one protection probe plus one
+  word-view load or store; anything unaligned or faulting falls back to
+  ``read``/``write``, so faults stay exact;
 * multi-page and bulk-word copies (``read_words``/``write_words``) go
   through ``memoryview`` slices rather than per-element Python loops.
 
@@ -55,7 +53,7 @@ workers do this to share page state without pickling it).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import MapError, OutOfMemoryError, SegmentationFault
 from .layout import (
@@ -98,9 +96,9 @@ class VirtualMemory:
     defense tests rely on.
 
     Args:
-        fast_paths: enable the single-page fast paths and the one-entry
-            translation cache (default).  Disable only to cross-check
-            fast-path equivalence; semantics are identical either way.
+        fast_paths: enable the single-page and word fast paths
+            (default).  Disable only to cross-check fast-path
+            equivalence; semantics are identical either way.
         fault_injector: optional hook with a ``charge(op)`` method
             (see :class:`repro.fuzz.faults.FaultInjector`) consulted
             *before* every ``mmap``/``mprotect`` call and every growing
@@ -118,8 +116,7 @@ class VirtualMemory:
         "_owns_store", "_store", "_protections", "_frames", "_frame_words",
         "_frame_slots", "_brk", "_mmap_cursor", "fault_count",
         "mprotect_count", "peak_resident_pages", "fast_paths",
-        "fault_injector", "_tlb_page", "_tlb_prot", "_tlb_frame",
-        "_tlb_words", "_read_span",
+        "fault_injector",
     )
 
     def __init__(self, fast_paths: bool = True,
@@ -150,19 +147,6 @@ class VirtualMemory:
         self.fast_paths: bool = fast_paths
         #: Fault-injection hook for mapping-management operations.
         self.fault_injector = fault_injector
-        # One-entry translation cache: last page touched by a fast-path
-        # access.  ``_tlb_page`` is -1 when empty; ``_tlb_frame`` and
-        # ``_tlb_words`` are ``None`` while the page is still backed by
-        # the zero page.
-        self._tlb_page: int = -1
-        self._tlb_prot: int = 0
-        self._tlb_frame: Optional[memoryview] = None
-        self._tlb_words: Optional[memoryview] = None
-        # One-entry readability cache: the last page span validated by
-        # :meth:`check_read` (the zero-copy send path re-checks the same
-        # cached response body for every request).  Invalidated wherever
-        # protections can be revoked, alongside the TLB.
-        self._read_span: Tuple[int, int] = (-1, -1)
 
     @property
     def page_store(self) -> PageStore:
@@ -204,8 +188,6 @@ class VirtualMemory:
                     f"mmap: page 0x{pno << 12:x} already mapped")
         for pno in range(first, first + count):
             self._protections[pno] = prot
-        # Freshly mapped pages were unmapped a moment ago, so they cannot
-        # be sitting in the translation cache; no invalidation needed.
         return address
 
     def munmap(self, address: int, length: int) -> None:
@@ -220,10 +202,6 @@ class VirtualMemory:
             self._protections.pop(pno, None)
             if pno in self._frames:
                 self._discard_frame(pno)
-        self._tlb_page = -1
-        self._tlb_frame = None
-        self._tlb_words = None
-        self._read_span = (-1, -1)
 
     def mprotect(self, address: int, length: int, prot: int) -> None:
         """Change the protection of every page overlapping the range.
@@ -256,8 +234,6 @@ class VirtualMemory:
             for pno in range(first, first + count):
                 protections[pno] = prot
         self.mprotect_count += 1
-        self._tlb_page = -1
-        self._read_span = (-1, -1)
 
     def sbrk(self, increment: int) -> int:
         """Grow (or shrink) the program break; return the previous break.
@@ -286,10 +262,6 @@ class VirtualMemory:
                 self._protections.pop(pno, None)
                 if pno in self._frames:
                     self._discard_frame(pno)
-            self._tlb_page = -1
-            self._tlb_frame = None
-            self._tlb_words = None
-            self._read_span = (-1, -1)
         self._brk = new_brk
         return old_brk
 
@@ -327,41 +299,19 @@ class VirtualMemory:
         ``_check`` would.
         """
         pno = address >> _PAGE_SHIFT
-        if pno == self._tlb_page:
-            prot = self._tlb_prot
-            frame = self._tlb_frame
-        else:
-            prot = self._protections.get(pno, -1)
-            if prot < 0:
-                self.fault_count += 1
-                raise SegmentationFault(address, kind, size)
-            frame = self._frames.get(pno)
-            self._tlb_page = pno
-            self._tlb_prot = prot
-            self._tlb_frame = frame
-            self._tlb_words = self._frame_words.get(pno)
-        if (prot & needed) != needed:
+        prot = self._protections.get(pno)
+        if prot is None or (prot & needed) != needed:
             self.fault_count += 1
             raise SegmentationFault(address, kind, size)
-        return pno, address & _PAGE_MASK, frame
+        return pno, address & _PAGE_MASK, self._frames.get(pno)
 
     def check_read(self, address: int, size: int) -> None:
         """Permission-check a read of the range without copying it.
 
         Faults exactly where :meth:`read` would — the zero-copy send
         path (``sendfile``) still takes a guard-page fault if the range
-        crosses into sealed memory.  A successful check caches its page
-        span; re-checks of the same span (the steady-state cached-body
-        send) are free until any protection is revoked.
+        crosses into sealed memory.
         """
-        if size > 0 and address >= 0:
-            span = (address >> _PAGE_SHIFT,
-                    (address + size - 1) >> _PAGE_SHIFT)
-            if span == self._read_span:
-                return
-            self._check(address, size, PROT_READ, "read")
-            self._read_span = span
-            return
         self._check(address, size, PROT_READ, "read")
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
@@ -427,131 +377,30 @@ class VirtualMemory:
     def read_word(self, address: int) -> int:
         """Read a little-endian 64-bit word.
 
-        8-aligned reads of a cached page are a single word-view load;
-        everything else funnels through :meth:`read`.
+        8-aligned reads of a readable page are one protection probe plus
+        one word-view load; everything else funnels through :meth:`read`.
         """
-        if self.fast_paths and not address & 7 and address >= 0:
+        if self.fast_paths and not address & 7:
             pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_READ:
-                    words = self._tlb_words
-                    if words is None:
-                        return 0
-                    return words[(address & _PAGE_MASK) >> 3]
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_READ:
-                    frame = self._frames.get(pno)
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    self._tlb_frame = frame
-                    if frame is None:
-                        self._tlb_words = None
-                        return 0
-                    words = self._frame_words[pno]
-                    self._tlb_words = words
-                    return words[(address & _PAGE_MASK) >> 3]
+            if self._protections.get(pno, PROT_NONE) & PROT_READ:
+                words = self._frame_words.get(pno)
+                if words is None:
+                    return 0  # the shared zero page
+                return words[(address & _PAGE_MASK) >> 3]
         return int.from_bytes(self.read(address, 8), "little")
 
     def write_word(self, address: int, value: int) -> None:
         """Write a little-endian 64-bit word (value masked to 64 bits)."""
-        if self.fast_paths and not address & 7 and address >= 0:
+        if self.fast_paths and not address & 7:
             pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_WRITE:
-                    words = self._tlb_words
-                    if words is None:
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
-                    return
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_WRITE:
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    words = self._frame_words.get(pno)
-                    if words is None:
-                        self._tlb_frame = None
-                        self._tlb_words = None
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    else:
-                        self._tlb_frame = self._frames[pno]
-                        self._tlb_words = words
-                    words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
-                    return
-        self.write(address, (value & _WORD_MASK).to_bytes(8, "little"))
-
-    def read_word_pair(self, address: int) -> Tuple[int, int]:
-        """Read two consecutive 64-bit words at a 16-aligned address.
-
-        One translation for both words — the shape of a boundary-tag
-        chunk-header load.  Falls back to :meth:`read` when unaligned or
-        fast paths are off.
-        """
-        if self.fast_paths and not address & 15 and address >= 0:
-            pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_READ:
-                    words = self._tlb_words
-                    if words is None:
-                        return 0, 0
-                    i = (address & _PAGE_MASK) >> 3
-                    return words[i], words[i + 1]
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_READ:
-                    frame = self._frames.get(pno)
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    self._tlb_frame = frame
-                    if frame is None:
-                        self._tlb_words = None
-                        return 0, 0
+            if self._protections.get(pno, PROT_NONE) & PROT_WRITE:
+                words = self._frame_words.get(pno)
+                if words is None:
+                    self._materialize(pno)
                     words = self._frame_words[pno]
-                    self._tlb_words = words
-                    i = (address & _PAGE_MASK) >> 3
-                    return words[i], words[i + 1]
-        data = self.read(address, 16)
-        return (int.from_bytes(data[:8], "little"),
-                int.from_bytes(data[8:], "little"))
-
-    def write_word_pair(self, address: int, low: int, high: int) -> None:
-        """Write two consecutive 64-bit words at a 16-aligned address."""
-        if self.fast_paths and not address & 15 and address >= 0:
-            pno = address >> _PAGE_SHIFT
-            if pno == self._tlb_page:
-                if self._tlb_prot & PROT_WRITE:
-                    words = self._tlb_words
-                    if words is None:
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    i = (address & _PAGE_MASK) >> 3
-                    words[i] = low & _WORD_MASK
-                    words[i + 1] = high & _WORD_MASK
-                    return
-            else:
-                prot = self._protections.get(pno, -1)
-                if prot >= 0 and prot & PROT_WRITE:
-                    self._tlb_page = pno
-                    self._tlb_prot = prot
-                    words = self._frame_words.get(pno)
-                    if words is None:
-                        self._tlb_frame = None
-                        self._tlb_words = None
-                        self._materialize(pno)
-                        words = self._tlb_words
-                    else:
-                        self._tlb_frame = self._frames[pno]
-                        self._tlb_words = words
-                    i = (address & _PAGE_MASK) >> 3
-                    words[i] = low & _WORD_MASK
-                    words[i + 1] = high & _WORD_MASK
-                    return
-        self.write(address,
-                   (low & _WORD_MASK).to_bytes(8, "little")
-                   + (high & _WORD_MASK).to_bytes(8, "little"))
+                words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
+                return
+        self.write(address, (value & _WORD_MASK).to_bytes(8, "little"))
 
     def read_words(self, address: int, count: int) -> "array[int]":
         """Read ``count`` consecutive 64-bit words as an ``array('Q')``.
@@ -621,78 +470,6 @@ class VirtualMemory:
             cursor += chunk << 3
             remaining -= chunk
 
-    def write_word_scatter(self, addresses: Sequence[int],
-                           values: Sequence[int]) -> None:
-        """Write one 64-bit word at each 8-aligned address.
-
-        Scattered batch write — the defense's metadata-stamp shape: one
-        word per freshly allocated buffer.  The page lookup is hoisted
-        and cached across items (a run of same-class slab slots mostly
-        lands on one page), instead of re-translating per word.
-        Unaligned or slow-path items funnel through :meth:`write_word`,
-        so faulting behavior is identical item-for-item.
-        """
-        if not self.fast_paths:
-            for address, value in zip(addresses, values):
-                self.write_word(address, value)
-            return
-        protections = self._protections
-        frame_words = self._frame_words
-        cached_pno = -1
-        cached_words: Optional["array[int]"] = None
-        for address, value in zip(addresses, values):
-            if address & 7 or address < 0:
-                self.write_word(address, value)
-                continue
-            pno = address >> _PAGE_SHIFT
-            if pno != cached_pno:
-                prot = protections.get(pno, -1)
-                if prot < 0 or not prot & PROT_WRITE:
-                    self.write_word(address, value)  # faults like per-op
-                    continue
-                words = frame_words.get(pno)
-                if words is None:
-                    self._materialize(pno)
-                    words = frame_words[pno]
-                cached_pno = pno
-                cached_words = words
-            assert cached_words is not None
-            cached_words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
-
-    def read_word_gather(self, addresses: Sequence[int]) -> List[int]:
-        """Read one 64-bit word at each 8-aligned address.
-
-        Scattered batch read (the free path's metadata loads), page
-        lookup cached across items as in :meth:`write_word_scatter`.
-        """
-        if not self.fast_paths:
-            return [self.read_word(address) for address in addresses]
-        protections = self._protections
-        frame_words = self._frame_words
-        cached_pno = -1
-        cached_words: Optional["array[int]"] = None
-        out: List[int] = []
-        append = out.append
-        for address in addresses:
-            if address & 7 or address < 0:
-                append(self.read_word(address))
-                continue
-            pno = address >> _PAGE_SHIFT
-            if pno != cached_pno:
-                prot = protections.get(pno, -1)
-                if prot < 0 or not prot & PROT_READ:
-                    append(self.read_word(address))  # faults like per-op
-                    continue
-                words = frame_words.get(pno)
-                if words is None:
-                    append(0)  # unmaterialized pages read as zero
-                    continue
-                cached_pno = pno
-                cached_words = words
-            assert cached_words is not None
-            append(cached_words[(address & _PAGE_MASK) >> 3])
-        return out
-
     def fill(self, address: int, size: int, byte: int = 0) -> None:
         """Set ``size`` bytes to ``byte`` (memset).
 
@@ -747,9 +524,6 @@ class VirtualMemory:
         self._frame_slots[pno] = slot
         if len(self._frames) > self.peak_resident_pages:
             self.peak_resident_pages = len(self._frames)
-        if pno == self._tlb_page:
-            self._tlb_frame = frame
-            self._tlb_words = words
         return frame
 
     def _discard_frame(self, pno: int) -> None:
@@ -832,10 +606,6 @@ class VirtualMemory:
         """
         for pno in list(self._frames):
             self._discard_frame(pno)
-        self._tlb_page = -1
-        self._tlb_frame = None
-        self._tlb_words = None
-        self._read_span = (-1, -1)
         if self._owns_store:
             self._store.close()
 

@@ -20,8 +20,9 @@ the monitor executes it:
   block calling the ordinary per-op monitor methods, so interpreting
   monitors (the shadow analyzer) observe exactly the per-instruction
   stream and need no changes;
-* :meth:`DirectMonitor.exec_block` overrides it with a fused loop: one
-  batched cycle charge, direct word-view memory traffic, no
+* :meth:`DirectMonitor.exec_block_run` overrides it with a fused loop
+  over a run of argument rows (``DirectMonitor.exec_block`` is a run of
+  one row): one batched cycle charge, direct memory traffic, no
   :class:`~repro.program.values.TaggedValue` boxing.
 
 Equivalence obligations (enforced by
@@ -43,21 +44,16 @@ from .values import TaggedValue
 # Opcodes.  Each op is a plain tuple ``(opcode, ...)``; address operands
 # are an ``(arg_index, offset)`` pair meaning ``args[arg_index] + offset``.
 OP_COMPUTE = 0        # (op, cycles)
-OP_READ_W = 1         # (op, argi, off, slot)          8-byte load
-OP_READ = 2           # (op, argi, off, size, slot)    generic load
-OP_WRITE_IMM = 3      # (op, argi, off, value, data)   static bytes
-OP_WRITE_IMM_W = 4    # (op, argi, off, value, word)   static 8B as a word
-OP_WRITE_IMM_PAIR = 5  # (op, argi, off, value, lo, hi) static 16B
-OP_WRITE_ARG_W = 6    # (op, argi, off, vargi)         8B int from args
-OP_WRITE_REG_W = 7    # (op, argi, off, slot)          store a READ_W slot
-OP_WRITE_REG = 8      # (op, argi, off, slot, size)    store a READ slot
-OP_FILL = 9           # (op, argi, off, size, byte)
-OP_COPY = 10          # (op, dargi, doff, sargi, soff, size)
-OP_USE_W = 11         # (op, slot, kind)               use a READ_W slot
-OP_USE = 12           # (op, slot, kind)               use a READ slot
-OP_SYSCALL_OUT = 13   # (op, argi, off, size)
-OP_SYSCALL_IN = 14    # (op, argi, off, data)
-OP_SENDFILE = 15      # (op, argi, off, size)   zero-copy send
+OP_READ = 1           # (op, argi, off, size, slot)    load into a slot
+OP_WRITE_IMM = 2      # (op, argi, off, value, data)   static bytes
+OP_WRITE_ARG_W = 3    # (op, argi, off, vargi)         8B int from args
+OP_WRITE_REG = 4      # (op, argi, off, slot, size)    store a slot
+OP_FILL = 5           # (op, argi, off, size, byte)
+OP_COPY = 6           # (op, dargi, doff, sargi, soff, size)
+OP_USE = 7            # (op, slot, kind)               use a slot
+OP_SYSCALL_OUT = 8    # (op, argi, off, size)
+OP_SYSCALL_IN = 9     # (op, argi, off, data)
+OP_SENDFILE = 10      # (op, argi, off, size)   zero-copy send
 
 
 class BlockError(ValueError):
@@ -137,17 +133,14 @@ class BasicBlock:
         out: List[Any] = []
         for op in self.ops:
             code = op[0]
-            if code == OP_READ_W:
-                regs[op[3]] = process.read(args[op[1]] + op[2], 8)
-            elif code == OP_USE_W or code == OP_USE:
+            if code == OP_USE:
                 if op[2] == "address":
                     out.append(process.use_as_address(regs[op[1]]))
                 else:
                     out.append(process.branch_on(regs[op[1]]))
             elif code == OP_WRITE_ARG_W:
                 process.write_int(args[op[1]] + op[2], args[op[3]], 8)
-            elif (code == OP_WRITE_IMM or code == OP_WRITE_IMM_W
-                  or code == OP_WRITE_IMM_PAIR):
+            elif code == OP_WRITE_IMM:
                 process.write(args[op[1]] + op[2], op[3])
             elif code == OP_COMPUTE:
                 process.compute(op[1])
@@ -155,7 +148,7 @@ class BasicBlock:
                 process.fill(args[op[1]] + op[2], op[3], op[4])
             elif code == OP_READ:
                 regs[op[4]] = process.read(args[op[1]] + op[2], op[3])
-            elif code == OP_WRITE_REG_W or code == OP_WRITE_REG:
+            elif code == OP_WRITE_REG:
                 process.write(args[op[1]] + op[2], regs[op[3]])
             elif code == OP_COPY:
                 process.copy(args[op[1]] + op[2], args[op[3]] + op[4],
@@ -185,7 +178,7 @@ class BlockBuilder:
         self._model = model
         self._ops: List[Tuple] = []
         self._cycles: List[float] = []
-        #: slot -> size in bytes; wide slots (8B word loads) are negative.
+        #: slot -> size in bytes of the load that fills it.
         self._slots: List[int] = []
         self._n_args = 0
         #: Word-granular guest instruction count (see BasicBlock).
@@ -205,18 +198,10 @@ class BlockBuilder:
             self._n_args = arg + 1
         return arg, offset
 
-    def _slot(self, handle: int, wide: bool) -> int:
+    def _slot_size(self, handle: int) -> int:
         if not 0 <= handle < len(self._slots):
             raise BlockError(f"unknown value slot {handle}")
-        if (self._slots[handle] < 0) != wide:
-            # Wrong accessor for the slot's kind; pick the matching one.
-            raise BlockError(f"slot {handle} kind mismatch")
-        return handle
-
-    def _kind_of(self, handle: int) -> bool:
-        if not 0 <= handle < len(self._slots):
-            raise BlockError(f"unknown value slot {handle}")
-        return self._slots[handle] < 0
+        return self._slots[handle]
 
     # -- op emitters ---------------------------------------------------
 
@@ -232,12 +217,8 @@ class BlockBuilder:
             raise BlockError(f"invalid read size {size}")
         argi, off = self._addr(arg, offset)
         slot = len(self._slots)
-        if size == 8:
-            self._slots.append(-8)
-            self._ops.append((OP_READ_W, argi, off, slot))
-        else:
-            self._slots.append(size)
-            self._ops.append((OP_READ, argi, off, size, slot))
+        self._slots.append(size)
+        self._ops.append((OP_READ, argi, off, size, slot))
         self._cycles.append(self._model.mem_cost(size))
         self._instructions += self._words(size)
         return slot
@@ -252,16 +233,8 @@ class BlockBuilder:
         if not data:
             raise BlockError("empty write")
         argi, off = self._addr(arg, offset)
-        value = TaggedValue.of_bytes(data)
-        if len(data) == 8:
-            word = int.from_bytes(data, "little")
-            self._ops.append((OP_WRITE_IMM_W, argi, off, value, word))
-        elif len(data) == 16:
-            lo = int.from_bytes(data[:8], "little")
-            hi = int.from_bytes(data[8:], "little")
-            self._ops.append((OP_WRITE_IMM_PAIR, argi, off, value, lo, hi))
-        else:
-            self._ops.append((OP_WRITE_IMM, argi, off, value, data))
+        self._ops.append((OP_WRITE_IMM, argi, off,
+                          TaggedValue.of_bytes(data), data))
         self._cycles.append(self._model.mem_cost(len(data)))
         self._instructions += self._words(len(data))
 
@@ -284,12 +257,8 @@ class BlockBuilder:
     def write_value(self, arg: int, offset: int, slot: int) -> None:
         """Store a previously loaded value slot."""
         argi, off = self._addr(arg, offset)
-        if self._kind_of(slot):
-            self._ops.append((OP_WRITE_REG_W, argi, off, slot))
-            size = 8
-        else:
-            size = self._slots[slot]
-            self._ops.append((OP_WRITE_REG, argi, off, slot, size))
+        size = self._slot_size(slot)
+        self._ops.append((OP_WRITE_REG, argi, off, slot, size))
         self._cycles.append(self._model.mem_cost(size))
         self._instructions += self._words(size)
 
@@ -315,15 +284,15 @@ class BlockBuilder:
 
     def branch_on(self, slot: int) -> None:
         """Use a loaded value for control flow; emits one block output."""
-        code = OP_USE_W if self._kind_of(slot) else OP_USE
-        self._ops.append((code, slot, "branch"))
+        self._slot_size(slot)  # rejects an unknown handle
+        self._ops.append((OP_USE, slot, "branch"))
         self._cycles.append(1)
         self._instructions += 1
 
     def use_as_address(self, slot: int) -> None:
         """Use a loaded value as an address; emits one block output."""
-        code = OP_USE_W if self._kind_of(slot) else OP_USE
-        self._ops.append((code, slot, "address"))
+        self._slot_size(slot)  # rejects an unknown handle
+        self._ops.append((OP_USE, slot, "address"))
         self._cycles.append(1)
         self._instructions += 1
 

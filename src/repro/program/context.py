@@ -43,9 +43,9 @@ class ContextSource(abc.ABC):
     """Provider of allocation-time calling-context identifiers."""
 
     #: True when :meth:`current_ccid` is a *pure read* — no counters, no
-    #: cycle charges, no state changes.  Fused interposition fast paths
-    #: may skip the read entirely for allocation functions that provably
-    #: have no patches, but only when skipping it is unobservable.  A
+    #: cycle charges, no state changes.  The interposer may skip the
+    #: read entirely for allocation functions that provably have no
+    #: patches, but only when skipping it is unobservable.  A
     #: stack walker (whose walks are counted and charged) must leave
     #: this False.
     pure_ccid: bool = False

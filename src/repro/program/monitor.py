@@ -30,18 +30,13 @@ from .blocks import (
     OP_COPY,
     OP_FILL,
     OP_READ,
-    OP_READ_W,
     OP_SENDFILE,
     OP_SYSCALL_IN,
     OP_SYSCALL_OUT,
     OP_USE,
-    OP_USE_W,
     OP_WRITE_ARG_W,
     OP_WRITE_IMM,
-    OP_WRITE_IMM_PAIR,
-    OP_WRITE_IMM_W,
     OP_WRITE_REG,
-    OP_WRITE_REG_W,
     BasicBlock,
 )
 from .cost import CycleMeter
@@ -157,17 +152,14 @@ class ExecutionMonitor(abc.ABC):
         out: List[Any] = []
         for op in block.ops:
             code = op[0]
-            if code == OP_READ_W:
-                regs[op[3]] = self.read(args[op[1]] + op[2], 8)
-            elif code == OP_USE_W or code == OP_USE:
+            if code == OP_USE:
                 value = regs[op[1]]
                 self.use(value, op[2])
                 out.append(value.to_int())
             elif code == OP_WRITE_ARG_W:
                 self.write(args[op[1]] + op[2],
                            TaggedValue.of_int(args[op[3]], 8))
-            elif (code == OP_WRITE_IMM or code == OP_WRITE_IMM_W
-                  or code == OP_WRITE_IMM_PAIR):
+            elif code == OP_WRITE_IMM:
                 self.write(args[op[1]] + op[2], op[3])
             elif code == OP_COMPUTE:
                 self.compute(op[1])
@@ -175,7 +167,7 @@ class ExecutionMonitor(abc.ABC):
                 self.fill(args[op[1]] + op[2], op[3], op[4])
             elif code == OP_READ:
                 regs[op[4]] = self.read(args[op[1]] + op[2], op[3])
-            elif code == OP_WRITE_REG_W or code == OP_WRITE_REG:
+            elif code == OP_WRITE_REG:
                 self.write(args[op[1]] + op[2], regs[op[3]])
             elif code == OP_COPY:
                 self.copy(args[op[1]] + op[2], args[op[3]] + op[4], op[5])
@@ -294,91 +286,34 @@ class DirectMonitor(ExecutionMonitor):
 
     def exec_block(self, block: BasicBlock,
                    args: Sequence[int]) -> List[Any]:
-        """Fused block execution: one cycle charge, direct memory ops.
-
-        Observation-identical to the generic per-op replay: same memory
-        effects (word stores fall back to byte stores exactly where the
-        per-op path would), same outputs, same cycles per category.  On a
-        fault the up-front batched charge is adjusted down to what the
-        per-op path would have charged by the time op ``i`` faulted.
-        """
-        if block.model is not self.meter.model:
-            # The block's pre-computed charges belong to another cost
-            # model; replay per-op so the right model is consulted.
-            return ExecutionMonitor.exec_block(self, block, args)
-        self._charge("base", block.base_cycles)
-        memory = self.memory
-        read_word = memory.read_word
-        write_word = memory.write_word
-        regs: List[Any] = [0] * block.nslots
-        out: List[Any] = []
-        index = 0
-        try:
-            # COMPUTE ops are pre-filtered out of run_ops (their cycles
-            # are in the up-front charge); the chain is ordered by op
-            # frequency in the serving workloads.
-            for index, op in block.run_ops:
-                code = op[0]
-                if code == OP_COPY:
-                    memory.write(args[op[1]] + op[2],
-                                 memory.read(args[op[3]] + op[4], op[5]))
-                elif code == OP_SENDFILE:
-                    memory.check_read(args[op[1]] + op[2], op[3])
-                    out.append(op[3])
-                elif code == OP_FILL:
-                    memory.fill(args[op[1]] + op[2], op[3], op[4])
-                elif code == OP_SYSCALL_OUT:
-                    out.append(memory.read(args[op[1]] + op[2], op[3]))
-                elif code == OP_READ:
-                    regs[op[4]] = memory.read(args[op[1]] + op[2], op[3])
-                elif code == OP_WRITE_IMM:
-                    memory.write(args[op[1]] + op[2], op[4])
-                elif code == OP_READ_W:
-                    regs[op[3]] = read_word(args[op[1]] + op[2])
-                elif code == OP_USE_W:
-                    out.append(regs[op[1]])
-                elif code == OP_WRITE_ARG_W:
-                    write_word(args[op[1]] + op[2], args[op[3]])
-                elif code == OP_WRITE_IMM_W:
-                    write_word(args[op[1]] + op[2], op[4])
-                elif code == OP_WRITE_IMM_PAIR:
-                    memory.write_word_pair(args[op[1]] + op[2], op[4],
-                                           op[5])
-                elif code == OP_WRITE_REG_W:
-                    write_word(args[op[1]] + op[2], regs[op[3]])
-                elif code == OP_WRITE_REG:
-                    memory.write(args[op[1]] + op[2], regs[op[3]])
-                elif code == OP_USE:
-                    out.append(int.from_bytes(regs[op[1]], "little"))
-                else:  # OP_SYSCALL_IN
-                    memory.write(args[op[1]] + op[2], op[3])
-        except SegmentationFault:
-            # Per-op dispatch charges before each access: by the time op
-            # ``index`` faulted it had charged cum_cycles[index].
-            self._charge("base",
-                         block.cum_cycles[index] - block.base_cycles)
-            raise
-        return out
+        """Fused block execution: a run of one row."""
+        return self.exec_block_run(block, (args,))[0]
 
     def exec_block_run(self, block: BasicBlock,
                        rows: Sequence[Sequence[int]]) -> List[List[Any]]:
         """Fused batch execution: one charge for the whole row run.
 
-        Observation-identical to ``exec_block`` per row: the ``n``
-        per-row charges collapse into one ``n``-scaled charge, and on a
-        fault in row ``r`` the up-front charge is adjusted to what the
-        per-row path would have accumulated (``r`` full blocks plus the
-        faulting row's per-op prefix).
+        Observation-identical to the generic per-op replay of each row:
+        same memory effects, same outputs, same cycles per category.
+        The ``n`` per-row charges collapse into one ``n``-scaled charge;
+        on a fault in row ``r`` the up-front charge is adjusted to what
+        the per-op path would have accumulated (``r`` full blocks plus
+        the faulting row's per-op prefix: per-op dispatch charges before
+        each access, so op ``i`` faulting leaves ``cum_cycles[i]``).
         """
         n = len(rows)
         if n == 0:
             return []
         if block.model is not self.meter.model:
+            # The block's pre-computed charges belong to another cost
+            # model; replay per-op so the right model is consulted.
             exec_block = ExecutionMonitor.exec_block
             return [exec_block(self, block, row) for row in rows]
         base_cycles = block.base_cycles
         self._charge("base", base_cycles * n)
         memory = self.memory
+        read = memory.read
+        write = memory.write
         run_ops = block.run_ops
         nslots = block.nslots
         results: List[List[Any]] = []
@@ -386,49 +321,35 @@ class DirectMonitor(ExecutionMonitor):
         index = 0
         try:
             for row in rows:
-                regs: List[Any] = [0] * nslots
+                regs: List[Any] = [None] * nslots
                 out: List[Any] = []
-                # Same pre-filtered, frequency-ordered chain as
-                # ``exec_block`` above.
+                # COMPUTE ops are pre-filtered out of run_ops (their
+                # cycles are in the up-front charge); the chain is
+                # ordered by op frequency in the serving workloads.
                 for index, op in run_ops:
                     code = op[0]
-                    if code == OP_COPY:
-                        memory.write(row[op[1]] + op[2],
-                                     memory.read(row[op[3]] + op[4],
-                                                 op[5]))
+                    if code == OP_WRITE_IMM:
+                        write(row[op[1]] + op[2], op[4])
+                    elif code == OP_READ:
+                        regs[op[4]] = read(row[op[1]] + op[2], op[3])
                     elif code == OP_SENDFILE:
                         memory.check_read(row[op[1]] + op[2], op[3])
                         out.append(op[3])
+                    elif code == OP_SYSCALL_IN:
+                        write(row[op[1]] + op[2], op[3])
                     elif code == OP_FILL:
                         memory.fill(row[op[1]] + op[2], op[3], op[4])
-                    elif code == OP_SYSCALL_OUT:
-                        out.append(memory.read(row[op[1]] + op[2],
-                                               op[3]))
-                    elif code == OP_READ:
-                        regs[op[4]] = memory.read(row[op[1]] + op[2],
-                                                  op[3])
-                    elif code == OP_WRITE_IMM:
-                        memory.write(row[op[1]] + op[2], op[4])
-                    elif code == OP_READ_W:
-                        regs[op[3]] = memory.read_word(row[op[1]] + op[2])
-                    elif code == OP_USE_W:
-                        out.append(regs[op[1]])
-                    elif code == OP_WRITE_ARG_W:
-                        memory.write_word(row[op[1]] + op[2], row[op[3]])
-                    elif code == OP_WRITE_IMM_W:
-                        memory.write_word(row[op[1]] + op[2], op[4])
-                    elif code == OP_WRITE_IMM_PAIR:
-                        memory.write_word_pair(row[op[1]] + op[2], op[4],
-                                               op[5])
-                    elif code == OP_WRITE_REG_W:
-                        memory.write_word(row[op[1]] + op[2],
-                                          regs[op[3]])
-                    elif code == OP_WRITE_REG:
-                        memory.write(row[op[1]] + op[2], regs[op[3]])
                     elif code == OP_USE:
                         out.append(int.from_bytes(regs[op[1]], "little"))
-                    else:  # OP_SYSCALL_IN
-                        memory.write(row[op[1]] + op[2], op[3])
+                    elif code == OP_SYSCALL_OUT:
+                        out.append(read(row[op[1]] + op[2], op[3]))
+                    elif code == OP_WRITE_ARG_W:
+                        memory.write_word(row[op[1]] + op[2], row[op[3]])
+                    elif code == OP_WRITE_REG:
+                        write(row[op[1]] + op[2], regs[op[3]])
+                    else:  # OP_COPY
+                        write(row[op[1]] + op[2],
+                              read(row[op[3]] + op[4], op[5]))
                 results.append(out)
                 completed += 1
         except SegmentationFault:
@@ -438,4 +359,3 @@ class DirectMonitor(ExecutionMonitor):
                          - base_cycles * (n - completed))
             raise
         return results
-

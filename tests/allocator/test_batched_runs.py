@@ -9,18 +9,22 @@ drives a batched allocator and a scalar twin and compares observables.
 
 import pytest
 
+from repro.allocator.libc import LibcAllocator
 from repro.allocator.segregated import (
     MAX_CLASS,
     SegregatedAllocator,
 )
 from repro.defense.interpose import DefendedAllocator
 from repro.defense.patch_table import PatchTable
-from repro.machine import DoubleFree, InvalidFree, PAGE_SIZE
+from repro.machine import DoubleFree, InvalidFree
 from repro.patch.model import HeapPatch
 from repro.program.context import ContextSource
 from repro.vulntypes import VulnType
 
 LARGE = MAX_CLASS + 1000
+
+#: The error-path tests hold both allocators to the per-call contract.
+ALLOCATORS = (SegregatedAllocator, LibcAllocator)
 
 
 def twin_run(sizes, map_cache=0):
@@ -30,6 +34,24 @@ def twin_run(sizes, map_cache=0):
     got = batched.malloc_run(sizes)
     want = [scalar.malloc(size) for size in sizes]
     return batched, scalar, got, want
+
+
+def raise_same(batched_call, scalar_call, items):
+    """Run a batched call and the per-call loop over the same items;
+    both must fail with the same error type, which is returned."""
+    with pytest.raises(Exception) as batched_error:
+        batched_call(items)
+    with pytest.raises(Exception) as scalar_error:
+        for item in items:
+            scalar_call(item)
+    assert type(batched_error.value) is type(scalar_error.value)
+    return batched_error.value
+
+
+def assert_twins(batched, scalar):
+    """A failed run leaves the state its per-call loop leaves."""
+    assert batched.stats.snapshot() == scalar.stats.snapshot()
+    assert batched.live_buffer_count == scalar.live_buffer_count
 
 
 class TestSegregatedMallocRun:
@@ -48,8 +70,14 @@ class TestSegregatedMallocRun:
         assert batched.live_buffer_count == scalar.live_buffer_count
 
     def test_negative_size_raises(self):
-        with pytest.raises(ValueError):
-            SegregatedAllocator().malloc_run([16, -1])
+        """The prefix before the bad size is allocated and recorded, as
+        the per-call loop does it (both allocators)."""
+        for make in ALLOCATORS:
+            batched, scalar = make(), make()
+            error = raise_same(batched.malloc_run, scalar.malloc,
+                               [32, -1, 32])
+            assert isinstance(error, ValueError)
+            assert_twins(batched, scalar)
 
     def test_uniform_large_drains_map_cache_lifo(self):
         allocator = SegregatedAllocator(map_cache=8)
@@ -109,34 +137,50 @@ class TestSegregatedFreeRun:
 
     def test_double_free_within_run_is_canonical(self):
         """A duplicate inside one run raises exactly what scalar replay
-        raises, with the prefix released and no entry lost."""
-        allocator = SegregatedAllocator()
-        a, b = allocator.malloc_run([48, 48])
-        with pytest.raises(DoubleFree):
-            allocator.free_run([a, b, a])
-        assert allocator.live_buffer_count == 0
+        raises, with the prefix released and recorded and no entry lost
+        (both allocators)."""
+        for make in ALLOCATORS:
+            batched, scalar = make(), make()
+            a, b = batched.malloc_run([48, 48])
+            assert [scalar.malloc(48), scalar.malloc(48)] == [a, b]
+            error = raise_same(batched.free_run, scalar.free, [a, b, a])
+            assert isinstance(error, DoubleFree)
+            assert_twins(batched, scalar)
+            assert batched.live_buffer_count == 0
 
     def test_free_of_retired_address_raises_double_free(self):
-        allocator = SegregatedAllocator()
-        a = allocator.malloc(48)
-        allocator.free(a)
-        b = allocator.malloc(4096 * 4)
-        with pytest.raises(DoubleFree):
-            allocator.free_run([b, a])
-        # The prefix (b) was released before the error, as scalar would.
-        assert allocator.live_buffer_count == 0
+        for make in ALLOCATORS:
+            batched, scalar = make(), make()
+            for allocator in (batched, scalar):
+                a = allocator.malloc(48)
+                allocator.malloc(48)  # keeps a's chunk off the top
+                allocator.free(a)
+                b = allocator.malloc(4096 * 4)
+            error = raise_same(batched.free_run, scalar.free, [b, a])
+            assert isinstance(error, DoubleFree)
+            # The prefix (b) was released and recorded before the
+            # error, as scalar would.
+            assert_twins(batched, scalar)
+            assert batched.live_buffer_count == 1
 
     def test_invalid_free_raises_and_restores_state(self):
-        allocator = SegregatedAllocator()
-        addresses = allocator.malloc_run([48] * 3)
+        """An unknown pointer first releases nothing; in the middle it
+        releases (and records) exactly the prefix.  Every other buffer
+        stays live and individually freeable (both allocators)."""
         bogus = 0x5EAF00D000
-        with pytest.raises(InvalidFree):
-            allocator.free_run([bogus] + addresses)
-        # Nothing was released before the faulting first element; every
-        # allocation is still live and individually freeable.
-        assert allocator.live_buffer_count == 3
-        allocator.free_run(addresses)
-        assert allocator.live_buffer_count == 0
+        for make in ALLOCATORS:
+            for position, live_after in ((0, 3), (1, 2)):
+                batched, scalar = make(), make()
+                addresses = batched.malloc_run([32] * 3)
+                assert [scalar.malloc(32) for _ in range(3)] == addresses
+                run = list(addresses)
+                run.insert(position, bogus)
+                error = raise_same(batched.free_run, scalar.free, run)
+                assert isinstance(error, InvalidFree)
+                assert_twins(batched, scalar)
+                assert batched.live_buffer_count == live_after
+                batched.free_run(addresses[position:])
+                assert batched.live_buffer_count == 0
 
 
 class _FixedContext(ContextSource):

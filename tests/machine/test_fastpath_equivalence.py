@@ -88,11 +88,37 @@ class TestFaultEquivalence:
             with pytest.raises(MapError):
                 mem.fill(a, -4, 0)
 
+    def test_word_ops_fault_like_the_validator(self):
+        """``read_word``/``write_word`` on the fast path fault at the
+        same addresses as the validator, and read the zero page as 0."""
+        results = []
+        for mem in _pair():
+            a = mem.mmap(4 * PAGE_SIZE, prot=PROT_RW)
+            mem.mprotect(a + PAGE_SIZE, PAGE_SIZE, PROT_NONE)
+            mem.mprotect(a + 2 * PAGE_SIZE, PAGE_SIZE, PROT_READ)
+            unmapped = a + (1 << 30)
+            faults = [
+                _fault_address(lambda: mem.read_word(a + PAGE_SIZE + 8)),
+                _fault_address(
+                    lambda: mem.write_word(a + 2 * PAGE_SIZE + 16, 1)),
+                _fault_address(lambda: mem.read_word(unmapped)),
+                _fault_address(lambda: mem.write_word(unmapped, 1)),
+                # Unaligned word straddling into the PROT_NONE page.
+                _fault_address(lambda: mem.read_word(a + PAGE_SIZE - 4)),
+            ]
+            zero = mem.read_word(a + 3 * PAGE_SIZE + 8)
+            results.append(([f - a for f in faults], zero,
+                             mem.fault_count, mem.resident_pages))
+        assert results[0] == results[1] == (
+            [PAGE_SIZE + 8, 2 * PAGE_SIZE + 16, 1 << 30, 1 << 30,
+             PAGE_SIZE], 0, 5, 0)
 
-class TestTlbInvalidation:
-    """The one-entry translation cache never serves stale state."""
 
-    def test_munmap_invalidates(self):
+class TestRevocation:
+    """A mapping change takes effect on the very next access: nothing
+    keeps serving the state from before a revocation."""
+
+    def test_munmap_revokes(self):
         mem = VirtualMemory()
         a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
         mem.write(a, b"hello")
@@ -100,7 +126,7 @@ class TestTlbInvalidation:
         with pytest.raises(SegmentationFault):
             mem.read(a, 4)
 
-    def test_mprotect_invalidates(self):
+    def test_mprotect_revokes(self):
         mem = VirtualMemory()
         a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
         mem.write(a, b"hello")
@@ -108,7 +134,7 @@ class TestTlbInvalidation:
         with pytest.raises(SegmentationFault):
             mem.read(a, 4)
 
-    def test_sbrk_shrink_invalidates(self):
+    def test_sbrk_shrink_revokes(self):
         mem = VirtualMemory()
         base = mem.sbrk(0)
         mem.sbrk(PAGE_SIZE)
@@ -117,9 +143,9 @@ class TestTlbInvalidation:
         with pytest.raises(SegmentationFault):
             mem.read(base, 4)
 
-    def test_materialize_refreshes_cached_frame(self):
-        """Reading a zero page caches frame=None; a subsequent write
-        materializes the frame, and the next read must see the data."""
+    def test_zero_page_read_then_write(self):
+        """Reading a zero page, then writing it, materializes the frame;
+        the next read must see the data."""
         mem = VirtualMemory()
         a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
         assert mem.read(a, 8) == bytes(8)  # cached as zero page
@@ -133,6 +159,54 @@ class TestTlbInvalidation:
         mem.write(a + PAGE_SIZE, b"second")
         assert mem.read(a, 5) == b"first"
         assert mem.read(a + PAGE_SIZE, 6) == b"second"
+
+    def test_word_ops_see_munmap(self):
+        mem = VirtualMemory()
+        a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
+        mem.write_word(a, 7)
+        assert mem.read_word(a) == 7
+        mem.munmap(a, PAGE_SIZE)
+        with pytest.raises(SegmentationFault):
+            mem.read_word(a)
+        with pytest.raises(SegmentationFault):
+            mem.write_word(a, 8)
+
+    def test_word_ops_see_mprotect(self):
+        mem = VirtualMemory()
+        a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
+        mem.write_word(a, 7)
+        mem.mprotect(a, PAGE_SIZE, PROT_READ)
+        assert mem.read_word(a) == 7
+        with pytest.raises(SegmentationFault):
+            mem.write_word(a, 8)
+        mem.mprotect(a, PAGE_SIZE, PROT_NONE)
+        with pytest.raises(SegmentationFault):
+            mem.read_word(a)
+        mem.mprotect(a, PAGE_SIZE, PROT_RW)
+        mem.write_word(a, 9)
+        assert mem.read_word(a) == 9
+
+    def test_word_ops_see_sbrk_shrink(self):
+        mem = VirtualMemory()
+        base = mem.sbrk(0)
+        mem.sbrk(PAGE_SIZE)
+        mem.write_word(base, 7)
+        mem.sbrk(-PAGE_SIZE)
+        with pytest.raises(SegmentationFault):
+            mem.read_word(base)
+        with pytest.raises(SegmentationFault):
+            mem.write_word(base, 8)
+
+    def test_word_read_of_zero_page_then_write(self):
+        """A word read of a never-written page, then a write that
+        materializes it: the next read sees the write."""
+        mem = VirtualMemory()
+        a = mem.mmap(PAGE_SIZE, prot=PROT_RW)
+        assert mem.read_word(a + 8) == 0
+        assert mem.resident_pages == 0
+        mem.write_word(a + 8, 0x1234)
+        assert mem.read_word(a + 8) == 0x1234
+        assert mem.resident_pages == 1
 
 
 class TestObservationEquivalence:

@@ -1,9 +1,9 @@
-"""``check_read`` span caching and scatter/gather word batches.
+"""``check_read``: the zero-copy send path's permission check.
 
-``check_read`` memoizes the page span of its last successful check (the
-serving fast path re-validates the same response buffer thousands of
-times).  The cache must never outlive the protections it witnessed:
-every mapping change that can revoke read access has to invalidate it.
+The serving fast path re-validates the same response buffer for every
+request, so a check must reflect the protections in force *now*: every
+mapping change that can revoke read access (``munmap``, ``mprotect``,
+``sbrk`` shrink) takes effect on the very next check.
 """
 
 import pytest
@@ -73,39 +73,3 @@ class TestCheckReadCache:
         memory = VirtualMemory()
         base = memory.mmap(PAGE_SIZE, prot=PROT_READ)
         memory.check_read(base, PAGE_SIZE)
-
-
-class TestScatterGather:
-    def test_matches_scalar_word_ops(self):
-        memory = VirtualMemory()
-        base = memory.mmap(2 * PAGE_SIZE)
-        addresses = [base + 8 * i for i in range(0, 300, 7)]
-        values = [(i * 0x9E3779B9) & ((1 << 64) - 1)
-                  for i in range(len(addresses))]
-        memory.write_word_scatter(addresses, values)
-        assert memory.read_word_gather(addresses) == values
-        assert [memory.read_word(a) for a in addresses] == values
-
-    def test_cross_page_addresses(self):
-        memory = VirtualMemory()
-        base = memory.mmap(3 * PAGE_SIZE)
-        addresses = [base + PAGE_SIZE - 4, base + 2 * PAGE_SIZE - 4]
-        memory.write_word_scatter(addresses, [0x1111, 0x2222])
-        assert memory.read_word_gather(addresses) == [0x1111, 0x2222]
-
-    def test_scatter_fault_on_unmapped_address(self):
-        memory = VirtualMemory()
-        base = memory.mmap(PAGE_SIZE)
-        with pytest.raises(SegmentationFault):
-            memory.write_word_scatter([base, base + (1 << 30)], [1, 2])
-
-    def test_gather_fault_on_unmapped_address(self):
-        memory = VirtualMemory()
-        base = memory.mmap(PAGE_SIZE)
-        with pytest.raises(SegmentationFault):
-            memory.read_word_gather([base, base + (1 << 30)])
-
-    def test_empty_batches(self):
-        memory = VirtualMemory()
-        memory.write_word_scatter([], [])
-        assert memory.read_word_gather([]) == []

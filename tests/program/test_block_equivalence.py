@@ -1,21 +1,23 @@
 """Observation equivalence of basic-block batched execution.
 
-The substrate executes straight-line op runs three ways:
+The substrate executes straight-line op runs four ways:
 
 1. the per-instruction reference — ``BasicBlock.interpret`` issuing one
    ``Process`` method call per op (also the path under a lock-step
    scheduler),
 2. the generic monitor replay — ``ExecutionMonitor.exec_block`` calling
-   the ordinary per-op monitor methods, and
+   the ordinary per-op monitor methods,
 3. the fused fast path — ``DirectMonitor.exec_block`` with one batched
-   cycle charge and direct word-view memory traffic.
+   cycle charge and direct memory traffic, and
+4. the fused multi-row path — ``Process.exec_block_run`` running one
+   block over a batch of argument rows (3 is its one-row case).
 
 The module docstrings of ``repro.program.blocks`` and
 ``repro.program.monitor`` promise these are observationally identical:
 same memory contents, same outputs, same cycle totals per category, and
 on a fault the same first faulting address with the same cycles
 consumed.  Hypothesis generates arbitrary blocks and this suite holds
-all three paths to that promise, plus allocator-trace and
+all four paths to that promise, plus allocator-trace and
 attack-outcome equivalence for block-using guest programs.
 """
 
@@ -319,6 +321,127 @@ class TestFaultEquivalence:
                 "meter": process.meter.snapshot(),
             })
         assert observations[0] == observations[1] == observations[2]
+
+
+# ---------------------------------------------------------------------------
+# The multi-row path: one exec_block_run against a per-row loop
+# ---------------------------------------------------------------------------
+
+def per_row(runner):
+    """A single-row path looped over a batch of rows."""
+    def run(process, block, rows):
+        return [runner(process, block, row) for row in rows]
+    return run
+
+
+def run_rows(process, block, rows):
+    return process.exec_block_run(block, rows)
+
+
+ROW_PATHS = (per_row(run_reference), per_row(run_generic),
+             per_row(run_fused), run_rows)
+
+#: Rows of faulting_block-shaped runs: how many, and which one faults.
+N_ROWS = 4
+FAULT_ROW = 2
+
+
+def observe_rows(runner, block, heap_factory=None):
+    """Run ``block`` over three argument rows on a fresh process."""
+    process = make_process(heap_factory() if heap_factory else None)
+
+    def body(p):
+        buf0 = p.malloc(BUF, site="a")
+        buf1 = p.malloc(BUF, site="b")
+        rows = [(buf0, buf1, EXTRA_ARG), (buf1, buf0, EXTRA_ARG + 1),
+                (buf0, buf0, 7)]
+        outputs = [normalize(out) for out in runner(p, block, rows)]
+        memory = p.monitor.memory
+        return {
+            "outputs": outputs,
+            "mem0": bytes(memory.read(buf0, BUF)),
+            "mem1": bytes(memory.read(buf1, BUF)),
+            "meter": p.meter.snapshot(),
+        }
+
+    return run_in_main(process, body)
+
+
+class TestBlockRunEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(block_descriptors())
+    def test_rows_match_per_row_paths(self, descriptors):
+        block = build_block(descriptors)
+        results = [observe_rows(r, block) for r in ROW_PATHS]
+        for other in results[1:]:
+            assert other == results[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(block_descriptors())
+    def test_rows_match_over_defended_heap(self, descriptors):
+        block = build_block(descriptors)
+
+        def heap():
+            return DefendedAllocator(LibcAllocator(), PatchTable.empty())
+
+        results = [observe_rows(r, block, heap_factory=heap)
+                   for r in ROW_PATHS]
+        for other in results[1:]:
+            assert other == results[0]
+
+    def test_empty_run(self):
+        block = faulting_block(read_fault=True)
+        process = make_process()
+        assert process.exec_block_run(block, []) == []
+        assert process.meter.snapshot() == make_process().meter.snapshot()
+
+    @pytest.mark.parametrize("read_fault", [True, False],
+                             ids=["read", "write"])
+    def test_fault_in_later_row(self, read_fault):
+        """A fault in row r > 0 charges r full blocks plus the faulting
+        row's per-op prefix, faults at the same address, and leaves the
+        later rows untouched."""
+        block = faulting_block(read_fault)
+        observations = []
+        for runner in ROW_PATHS:
+            process = make_process()
+            state = {}
+
+            def body(p):
+                bufs = state["bufs"] = [p.malloc(BUF, site="a")
+                                        for _ in range(N_ROWS)]
+                scratch = p.malloc(BUF, site="b")
+                rows = [(buf, scratch) for buf in bufs]
+                rows[FAULT_ROW] = (bufs[FAULT_ROW],
+                                   bufs[FAULT_ROW] + (1 << 40))
+                runner(p, block, rows)
+
+            with pytest.raises(SegmentationFault) as excinfo:
+                run_in_main(process, body)
+            bufs = state["bufs"]
+            memory = process.monitor.memory
+            observations.append({
+                "address": excinfo.value.address - bufs[FAULT_ROW],
+                "access": excinfo.value.access,
+                "meter": process.meter.snapshot(),
+                "fault_count": memory.fault_count,
+                "mems": [bytes(memory.read(buf, BUF)) for buf in bufs],
+            })
+        for other in observations[1:]:
+            assert other == observations[0]
+        first = observations[0]
+        assert first["address"] == 1 << 40
+        assert first["fault_count"] == 1
+        mems = first["mems"]
+        for done in mems[:FAULT_ROW]:
+            assert done.startswith(b"before-fault!")
+            assert done[128:141] == b"never-written"
+        faulted = mems[FAULT_ROW]
+        assert faulted.startswith(b"before-fault!")
+        assert faulted[64:96] == b"\xab" * 32
+        assert faulted[128:141] == bytes(13)
+        for untouched in mems[FAULT_ROW + 1:]:
+            assert untouched == bytes(BUF)
 
 
 # ---------------------------------------------------------------------------
