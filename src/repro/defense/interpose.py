@@ -549,8 +549,15 @@ class DefendedAllocator(Allocator):
             self.free(address)
             return 0
         self._charge_interposition()
-        _, old_size = self._read_metadata(address)
+        # Allocate before unsealing the old buffer's guard page, so a
+        # failed allocation leaves the old buffer as it was: live, guard
+        # sealed (fail closed).
         new_user = self._allocate("realloc", size)
+        try:
+            _, old_size = self._read_metadata(address)
+        except BaseException:
+            self.free(new_user)
+            raise
         keep = min(old_size, size)
         if keep:
             self.memory.write(new_user, self.memory.read(address, keep))

@@ -15,13 +15,16 @@ no physical memory until it is first *written* (reads of untouched pages are
 served from the shared zero page).  This is what makes the paper's
 observation "guard pages themselves do not increase the use of memory"
 reproducible — a guard page is mapped ``PROT_NONE`` and never touched, so it
-never becomes resident.
+never becomes resident.  A page counts as resident from its first write,
+whether that write gave it a frame or made it a *word-only page* (below):
+``resident_pages``, ``resident_bytes`` and ``peak_resident_pages`` count
+both kinds, so the accounting is the same with and without fast paths.
 
 Hot-path design (every guest load/store funnels through here, so the
 entire benchmark suite is bottlenecked on this file):
 
 * page frames live in a columnar :class:`~repro.machine.pagestore.PageStore`
-  arena rather than one ``bytearray`` per page; each resident page is a
+  arena rather than one ``bytearray`` per page; each framed page is a
   ``memoryview`` window plus a pre-cast 64-bit word view, so aligned
   word traffic is a single indexed store/load with no ``int.from_bytes``
   round trip;
@@ -32,12 +35,24 @@ entire benchmark suite is bottlenecked on this file):
 * aligned ``read_word``/``write_word`` are one protection probe plus one
   word-view load or store; anything unaligned or faulting falls back to
   ``read``/``write``, so faults stay exact;
+* a page whose only writes so far are aligned ``write_word`` stores is a
+  *word-only page*: it has no frame, just a small word map standing in
+  for its word view (:class:`_WordOnlyPage`, missing words read as 0).
+  A guarded buffer's guard page holds only its user-size word for its
+  whole life (write, seal, unseal, read), so it never takes a 4 KiB
+  frame.  The first byte-level or bulk access (``read``/``write``/
+  ``fill``, ``read_words``/``write_words``, ``peek``/``poke``)
+  *promotes* the page: :meth:`VirtualMemory._materialize` gives it a
+  frame and copies the recorded words in.  ``counters()`` reports how
+  many word-only pages were created and promoted;
 * multi-page and bulk-word copies (``read_words``/``write_words``) go
   through ``memoryview`` slices rather than per-element Python loops.
 
 Fast paths must be *observation-identical* to the general path: same
 first faulting address, same ``resident_pages`` demand-paging behaviour,
-same counters.  ``VirtualMemory(fast_paths=False)`` disables them so the
+same fault and ``mprotect`` counts (only ``counters()``, which counts
+word-only pages, tells the modes apart).
+``VirtualMemory(fast_paths=False)`` disables them so the
 equivalence is testable (``tests/machine/test_fastpath_equivalence.py``).
 The word views use the host's native byte order; the substrate assumes a
 little-endian host (as the generic paths do ``int.from_bytes(...,
@@ -85,6 +100,18 @@ _PAGE_WORDS = PAGE_SIZE >> 3
 _WORD_MASK = (1 << 64) - 1
 
 
+class _WordOnlyPage(dict):
+    """The aligned words stored to a page that has no frame yet, by
+    word index.  It stands in for the page's word view, so
+    ``read_word``/``write_word`` index it the same way; a word never
+    stored reads as 0 (the zero page)."""
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> int:
+        return 0
+
+
 class VirtualMemory:
     """A sparse, permission-checked, demand-paged address space.
 
@@ -116,7 +143,7 @@ class VirtualMemory:
         "_owns_store", "_store", "_protections", "_frames", "_frame_words",
         "_frame_slots", "_brk", "_mmap_cursor", "fault_count",
         "mprotect_count", "peak_resident_pages", "fast_paths",
-        "fault_injector",
+        "fault_injector", "word_pages_created", "word_pages_promoted",
     )
 
     def __init__(self, fast_paths: bool = True,
@@ -131,11 +158,12 @@ class VirtualMemory:
             self._owns_store = False
         self._store = page_store
         self._protections: Dict[int, int] = {}
-        #: Byte view of each resident page (window into the store).
+        #: Byte view of each page with a frame (window into the store).
         self._frames: Dict[int, memoryview] = {}
-        #: The same windows cast to 64-bit words ('Q').
-        self._frame_words: Dict[int, memoryview] = {}
-        #: Store slot backing each resident page (for freeing).
+        #: The same windows cast to 64-bit words ('Q'), plus the word
+        #: map of every word-only page (resident, but no frame yet).
+        self._frame_words: Dict[int, Union[memoryview, _WordOnlyPage]] = {}
+        #: Store slot backing each page with a frame (for freeing).
         self._frame_slots: Dict[int, int] = {}
         self._brk: int = HEAP_BASE
         self._mmap_cursor: int = MMAP_BASE
@@ -147,6 +175,10 @@ class VirtualMemory:
         self.fast_paths: bool = fast_paths
         #: Fault-injection hook for mapping-management operations.
         self.fault_injector = fault_injector
+        #: Word-only pages made by ``write_word``, and how many of them
+        #: a byte-level or bulk access later gave a frame.
+        self.word_pages_created: int = 0
+        self.word_pages_promoted: int = 0
 
     @property
     def page_store(self) -> PageStore:
@@ -200,7 +232,7 @@ class VirtualMemory:
         count = page_align_up(length) // PAGE_SIZE
         for pno in range(first, first + count):
             self._protections.pop(pno, None)
-            if pno in self._frames:
+            if pno in self._frame_words:
                 self._discard_frame(pno)
 
     def mprotect(self, address: int, length: int, prot: int) -> None:
@@ -260,7 +292,7 @@ class VirtualMemory:
             last = page_number(page_align_up(old_brk))
             for pno in range(first_freed, last):
                 self._protections.pop(pno, None)
-                if pno in self._frames:
+                if pno in self._frame_words:
                     self._discard_frame(pno)
         self._brk = new_brk
         return old_brk
@@ -349,10 +381,12 @@ class VirtualMemory:
         if (self.fast_paths and 0 < size
                 and (address & _PAGE_MASK) + size <= PAGE_SIZE
                 and address >= 0):
-            _, offset, frame = self._translate(address, size, PROT_READ,
-                                               "read")
+            pno, offset, frame = self._translate(address, size, PROT_READ,
+                                                 "read")
             if frame is None:
-                return _ZERO_PAGE[offset:offset + size]
+                if pno not in self._frame_words:
+                    return _ZERO_PAGE[offset:offset + size]
+                frame = self._materialize(pno)
             return bytes(frame[offset:offset + size])
         self._check(address, size, PROT_READ, "read")
         return self._copy_out(address, size)
@@ -390,14 +424,21 @@ class VirtualMemory:
         return int.from_bytes(self.read(address, 8), "little")
 
     def write_word(self, address: int, value: int) -> None:
-        """Write a little-endian 64-bit word (value masked to 64 bits)."""
+        """Write a little-endian 64-bit word (value masked to 64 bits).
+
+        On the fast path, the first store to a page with no frame makes
+        it a word-only page instead of giving it a frame.
+        """
         if self.fast_paths and not address & 7:
             pno = address >> _PAGE_SHIFT
             if self._protections.get(pno, PROT_NONE) & PROT_WRITE:
-                words = self._frame_words.get(pno)
+                frame_words = self._frame_words
+                words = frame_words.get(pno)
                 if words is None:
-                    self._materialize(pno)
-                    words = self._frame_words[pno]
+                    words = frame_words[pno] = _WordOnlyPage()
+                    self.word_pages_created += 1
+                    if len(frame_words) > self.peak_resident_pages:
+                        self.peak_resident_pages = len(frame_words)
                 words[(address & _PAGE_MASK) >> 3] = value & _WORD_MASK
                 return
         self.write(address, (value & _WORD_MASK).to_bytes(8, "little"))
@@ -416,6 +457,7 @@ class VirtualMemory:
         self._check(address, size, PROT_READ, "read")
         out = array("Q", bytes(size))
         view = memoryview(out)
+        frames = self._frames
         frame_words = self._frame_words
         position = 0
         cursor = address
@@ -426,6 +468,9 @@ class VirtualMemory:
             chunk = min(_PAGE_WORDS - woff, remaining)
             words = frame_words.get(pno)
             if words is not None:
+                if pno not in frames:
+                    self._materialize(pno)
+                    words = frame_words[pno]
                 view[position:position + chunk] = words[woff:woff + chunk]
             # else: the fresh array is already zero-filled.
             position += chunk
@@ -453,6 +498,7 @@ class VirtualMemory:
             return
         self._check(address, count << 3, PROT_WRITE, "write")
         view = memoryview(buf)
+        frames = self._frames
         frame_words = self._frame_words
         position = 0
         cursor = address
@@ -461,11 +507,10 @@ class VirtualMemory:
             pno = cursor >> _PAGE_SHIFT
             woff = (cursor & _PAGE_MASK) >> 3
             chunk = min(_PAGE_WORDS - woff, remaining)
-            words = frame_words.get(pno)
-            if words is None:
+            if pno not in frames:
                 self._materialize(pno)
-                words = frame_words[pno]
-            words[woff:woff + chunk] = view[position:position + chunk]
+            frame_words[pno][woff:woff + chunk] = \
+                view[position:position + chunk]
             position += chunk
             cursor += chunk << 3
             remaining -= chunk
@@ -517,19 +562,30 @@ class VirtualMemory:
     # ------------------------------------------------------------------
 
     def _materialize(self, pno: int) -> memoryview:
-        """First write to a mapped page: give it a frame from the store."""
+        """Give a mapped page a frame from the store: on its first write,
+        or on the first byte-level or bulk access to a word-only page,
+        whose recorded words are copied into the new frame."""
         slot, frame, words = self._store.alloc()
+        frame_words = self._frame_words
+        recorded = frame_words.get(pno)
+        if recorded is not None:
+            for index, value in recorded.items():
+                words[index] = value
+            self.word_pages_promoted += 1
         self._frames[pno] = frame
-        self._frame_words[pno] = words
+        frame_words[pno] = words
         self._frame_slots[pno] = slot
-        if len(self._frames) > self.peak_resident_pages:
-            self.peak_resident_pages = len(self._frames)
+        if len(frame_words) > self.peak_resident_pages:
+            self.peak_resident_pages = len(frame_words)
         return frame
 
     def _discard_frame(self, pno: int) -> None:
-        """Drop a resident page and return its slot to the store."""
-        frame = self._frames.pop(pno)
+        """Drop a resident page; a framed one returns its slot to the
+        store, a word-only one has none."""
         words = self._frame_words.pop(pno)
+        frame = self._frames.pop(pno, None)
+        if frame is None:
+            return
         slot = self._frame_slots.pop(pno)
         frame.release()
         words.release()
@@ -541,6 +597,7 @@ class VirtualMemory:
         out = bytearray(size)
         view = memoryview(out)
         frames = self._frames
+        frame_words = self._frame_words
         position = 0
         cursor = address
         remaining = size
@@ -549,6 +606,8 @@ class VirtualMemory:
             offset = cursor & _PAGE_MASK
             chunk = min(PAGE_SIZE - offset, remaining)
             frame = frames.get(pno)
+            if frame is None and pno in frame_words:
+                frame = self._materialize(pno)
             if frame is not None:
                 view[position:position + chunk] = \
                     frame[offset:offset + chunk]
@@ -604,7 +663,7 @@ class VirtualMemory:
         when many ``VirtualMemory`` instances share a long-lived store
         and slots should be returned promptly.
         """
-        for pno in list(self._frames):
+        for pno in list(self._frame_words):
             self._discard_frame(pno)
         if self._owns_store:
             self._store.close()
@@ -626,13 +685,23 @@ class VirtualMemory:
 
     @property
     def resident_pages(self) -> int:
-        """Number of pages that have been materialized (written to)."""
-        return len(self._frames)
+        """Number of pages that have been written to: pages with a frame
+        plus word-only pages."""
+        return len(self._frame_words)
 
     @property
     def resident_bytes(self) -> int:
         """Resident set size in bytes — the simulated ``VmRSS``."""
-        return len(self._frames) * PAGE_SIZE
+        return len(self._frame_words) * PAGE_SIZE
+
+    def counters(self) -> Dict[str, int]:
+        """Host-side fast-path counters, as a flat dict.
+
+        They describe how the simulator stored pages, not what the guest
+        observed, so they stay out of every report and digest.
+        """
+        return {"word_pages_created": self.word_pages_created,
+                "word_pages_promoted": self.word_pages_promoted}
 
     @property
     def mapped_pages(self) -> int:

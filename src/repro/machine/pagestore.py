@@ -101,6 +101,8 @@ class PageStore:
         self._shm_blocks: List[object] = []
         #: Slot id of the first page of each segment.
         self._segment_base: List[int] = []
+        #: Segment index of every slot, so a slot is located in O(1).
+        self._slot_segment: List[int] = []
         self._free_slots: List[int] = []
         #: Freed slots whose contents were not re-zeroed yet.
         self._dirty_slots: set = set()
@@ -138,25 +140,25 @@ class PageStore:
             view = memoryview(block.buf)
         else:
             view = memoryview(bytearray(pages * PAGE_SIZE))
-        base = self._total_slots
-        self._segment_views.append(view)
-        self._segment_pages.append(pages)
-        self._segment_base.append(base)
-        self._total_slots += pages
+        base = self._register_segment(view, pages)
         # Low slots first: freshly added slots are handed out in
         # ascending order for deterministic layouts.
         self._free_slots.extend(range(base + pages - 1, base - 1, -1))
 
-    def _locate(self, slot: int) -> Tuple[int, int]:
-        """Map a slot id to ``(segment index, page index in segment)``."""
-        for seg, base in enumerate(self._segment_base):
-            if base <= slot < base + self._segment_pages[seg]:
-                return seg, slot - base
-        raise ValueError(f"slot {slot} out of range")
+    def _register_segment(self, view: memoryview, pages: int) -> int:
+        """Append a segment's view and geometry; return its first slot."""
+        base = self._total_slots
+        self._slot_segment.extend([len(self._segment_views)] * pages)
+        self._segment_views.append(view)
+        self._segment_pages.append(pages)
+        self._segment_base.append(base)
+        self._total_slots += pages
+        return base
 
     def _views_for(self, slot: int) -> Tuple[memoryview, memoryview]:
-        seg, index = self._locate(slot)
-        start = index * PAGE_SIZE
+        """The byte and word views of a slot's page."""
+        seg = self._slot_segment[slot]
+        start = (slot - self._segment_base[seg]) * PAGE_SIZE
         window = self._segment_views[seg][start:start + PAGE_SIZE]
         return window, window.cast("Q")
 
@@ -237,11 +239,7 @@ class PageStore:
         for name, pages in zip(handle.segment_names, handle.segment_pages):
             block = shared_memory.SharedMemory(name=name)
             store._shm_blocks.append(block)
-            base = store._total_slots
-            store._segment_views.append(memoryview(block.buf))
-            store._segment_pages.append(pages)
-            store._segment_base.append(base)
-            store._total_slots += pages
+            store._register_segment(memoryview(block.buf), pages)
         # Attached stores are read/write windows over foreign frames;
         # they do not allocate, so no free slots are registered.
         return store

@@ -204,3 +204,50 @@ class TestFreeRunFaults:
         assert defended.underlying.live_buffer_count == 0
         assert defended.stats.live_buffers == 0
         assert defended.stats.bytes_live == 0
+
+
+class TestReallocFaults:
+    @pytest.mark.parametrize("kind, op, size", [
+        # Past the mmap threshold: the new buffer needs a fresh mapping.
+        ("libc", "mmap", 1 << 20),
+        ("segregated", "mmap", 1 << 20),
+        # Below it but past the heap's free space: a heap extension.
+        ("libc", "sbrk", 100_000),
+    ])
+    def test_failed_realloc_keeps_old_guard_sealed(self, kind, op, size):
+        """A ``realloc`` whose new allocation fails leaves the old
+        guarded buffer live, its contents intact and its guard sealed;
+        once the fault clears, the old buffer frees normally."""
+        injector = FaultInjector({op: 0}, armed=False)
+        defended = make_defended(kind, injector=injector)
+        memory = defended.memory
+        user = defended.malloc(100)
+        memory.write(user, b"payload")
+        guard = guard_page_of(memory.read_word(user - METADATA_SIZE))
+        before = observe(defended)
+        injector.arm()
+        with pytest.raises(MachineError):
+            defended.realloc(user, size)
+        injector.disarm()
+        assert memory.protection_of(guard) == PROT_NONE
+        assert memory.read(user, 7) == b"payload"
+        assert observe(defended)["live"] == before["live"] == 1
+        assert observe(defended)["stats"] == before["stats"]
+        defended.free(user)
+        assert defended.underlying.live_buffer_count == 0
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATORS))
+    def test_realloc_of_guarded_buffer_unseals_twice(self, kind):
+        """The success path reads the old size through one unseal and
+        frees through another: two ``mprotect`` calls, each charged."""
+        defended = make_defended(kind)
+        user = defended.malloc(100)
+        before = observe(defended)
+        grown = defended.realloc(user, 300)
+        after = observe(defended)
+        model = defended.meter.model
+        assert after["mprotect"] - before["mprotect"] == 2
+        assert (after["cycles"]["defense"] - before["cycles"]["defense"]
+                == 2 * model.mprotect)
+        assert after["live"] == 1
+        defended.free(grown)

@@ -18,7 +18,11 @@ from repro.machine import (
 )
 
 
-class TestCheckReadCache:
+class TestCheckRead:
+    """Every ``check_read`` consults the protections in force at the
+    call: each revocation (munmap, mprotect, sbrk shrink) faults the very
+    next check, and a fresh mapping over the same span passes again."""
+
     def test_repeated_checks_succeed(self):
         memory = VirtualMemory()
         base = memory.mmap(2 * PAGE_SIZE)

@@ -5,11 +5,16 @@ same fault addresses, same residency accounting, same cycle totals.
 :class:`TestSubstrateEquivalence` is the hard gate CI runs in its own
 step: a guest loop executed as batched blocks on the fast paths against
 the same loop interpreted op by op on the slow validator.
+:class:`TestWordOnlyPages` (run in the same CI step) holds word-only
+pages — resident pages with a word map and no frame — to the validator,
+which never makes one.
 """
 
 from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.allocator.libc import LibcAllocator
 from repro.machine import (
@@ -21,6 +26,7 @@ from repro.machine import (
     SegmentationFault,
     VirtualMemory,
 )
+from repro.machine.pagestore import PageStore
 from repro.program.blocks import BasicBlock, BlockBuilder
 from repro.program.callgraph import CallGraph
 from repro.program.monitor import DirectMonitor
@@ -451,3 +457,227 @@ class TestSubstrateEquivalence:
         mismatches = substrate_mismatches()
         assert len(mismatches) == 1
         assert mismatches[0].startswith("meter diverged")
+
+
+#: Byte-level and bulk ops that promote a word-only page, each run on a
+#: page holding two recorded words (at offsets 16 and PAGE_SIZE - 8).
+PROMOTING_OPS = {
+    "read": lambda mem, page: mem.read(page + 12, 8),
+    "write": lambda mem, page: mem.write(page + 40, b"\xab\xcd"),
+    "fill": lambda mem, page: mem.fill(page + 48, 40, 0x5A),
+    "read_words": lambda mem, page: mem.read_words(page + 8, 3).tolist(),
+    "write_words": lambda mem, page: mem.write_words(page + 96, [7, 8]),
+    "peek": lambda mem, page: mem.peek(page, 32),
+    "poke": lambda mem, page: mem.poke(page + 3, b"xyz"),
+}
+
+#: Pages in the mapping the op sequences run on; the page after it is
+#: unmapped, so spans off its end fault.
+SEQ_PAGES = 3
+_SEQ_BYTES = SEQ_PAGES * PAGE_SIZE
+_OFFSETS = st.integers(0, _SEQ_BYTES - 1)
+#: Word offsets, mostly aligned (the fast path) and sometimes not.
+_WORD_OFFSETS = st.one_of(
+    st.integers(0, _SEQ_BYTES // 8 - 1).map(lambda index: index * 8),
+    _OFFSETS)
+_WORDS = st.integers(0, (1 << 64) - 1)
+_PAGE_INDEXES = st.integers(0, SEQ_PAGES - 1)
+SEQ_OPS = st.one_of(
+    st.tuples(st.just("write_word"), _WORD_OFFSETS, _WORDS),
+    st.tuples(st.just("read_word"), _WORD_OFFSETS),
+    st.tuples(st.just("write"), _OFFSETS, st.binary(min_size=1,
+                                                     max_size=16)),
+    st.tuples(st.just("read"), _OFFSETS, st.integers(1, 16)),
+    st.tuples(st.just("fill"), _OFFSETS, st.integers(1, 64),
+              st.integers(0, 255)),
+    st.tuples(st.just("write_words"), _WORD_OFFSETS,
+              st.lists(_WORDS, min_size=1, max_size=4)),
+    st.tuples(st.just("read_words"), _WORD_OFFSETS, st.integers(1, 4)),
+    st.tuples(st.just("peek"), _OFFSETS, st.integers(1, 16)),
+    st.tuples(st.just("poke"), _OFFSETS, st.binary(min_size=1,
+                                                    max_size=8)),
+    st.tuples(st.just("mprotect"), _PAGE_INDEXES,
+              st.sampled_from([PROT_NONE, PROT_READ, PROT_RW])),
+    st.tuples(st.just("remap"), _PAGE_INDEXES),
+)
+
+
+def _run_sequence(mem, ops):
+    """Run ``ops`` on a fresh mapping; return every observable."""
+    base = mem.mmap(_SEQ_BYTES)
+    outcomes = []
+    for name, *args in ops:
+        if name == "mprotect":
+            mem.mprotect(base + args[0] * PAGE_SIZE, PAGE_SIZE, args[1])
+            outcomes.append(None)
+            continue
+        if name == "remap":
+            page = base + args[0] * PAGE_SIZE
+            mem.munmap(page, PAGE_SIZE)
+            mem.mmap(PAGE_SIZE, address=page)
+            outcomes.append(None)
+            continue
+        try:
+            result = getattr(mem, name)(base + args[0], *args[1:])
+        except SegmentationFault as fault:
+            result = ("fault", fault.address - base)
+        if isinstance(result, array):
+            result = result.tolist()
+        outcomes.append(result)
+    residency = (mem.resident_pages, mem.peak_resident_pages)
+    for index in range(SEQ_PAGES):
+        mem.mprotect(base + index * PAGE_SIZE, PAGE_SIZE, PROT_RW)
+    return {
+        "outcomes": outcomes,
+        "residency": residency,
+        "fault_count": mem.fault_count,
+        "contents": mem.read(base, _SEQ_BYTES),
+    }
+
+
+def word_only_mismatches(ops):
+    """Run ``ops`` on the fast paths and on the validator; return the
+    observables that differ (empty means equivalent)."""
+    fast, slow = (_run_sequence(mem, ops) for mem in _pair())
+    return [f"{key} diverged: fast {fast[key]!r} != validator "
+            f"{slow[key]!r}" for key in fast if fast[key] != slow[key]]
+
+
+class TestWordOnlyPages:
+    """A page that has only taken aligned word stores holds a word map
+    and no frame until a byte-level or bulk op promotes it; every
+    observable matches the ``fast_paths=False`` validator, which never
+    makes such a page."""
+
+    @pytest.mark.parametrize("op", sorted(PROMOTING_OPS))
+    def test_byte_or_bulk_op_promotes_with_the_recorded_words(self, op):
+        seen = []
+        for fast in (True, False):
+            store = PageStore()
+            mem = VirtualMemory(fast_paths=fast, page_store=store)
+            page = mem.mmap(2 * PAGE_SIZE)
+            mem.write_word(page + 16, 0x1122334455667788)
+            mem.write_word(page + PAGE_SIZE - 8, 5)
+            assert store.allocated_pages == (0 if fast else 1)
+            result = PROMOTING_OPS[op](mem, page)
+            assert store.allocated_pages == 1
+            if fast:
+                assert mem.counters() == {"word_pages_created": 1,
+                                          "word_pages_promoted": 1}
+            seen.append((result, mem.read(page, PAGE_SIZE),
+                         mem.read_word(page + 16), mem.resident_pages,
+                         mem.peak_resident_pages, mem.fault_count))
+        assert seen[0] == seen[1]
+        assert seen[0][2:] == (0x1122334455667788, 1, 1, 0)
+
+    def test_sealed_guard_page_life_takes_no_frame(self):
+        """Write the size word, seal, fault, unseal, read the size word:
+        the whole guard-page life, with no ``PageStore`` slot."""
+        seen = []
+        for fast in (True, False):
+            store = PageStore()
+            mem = VirtualMemory(fast_paths=fast, page_store=store)
+            base = mem.mmap(2 * PAGE_SIZE)
+            guard = base + PAGE_SIZE
+            mem.write_word(guard, 100)
+            mem.mprotect(guard, PAGE_SIZE, PROT_NONE)
+            faults = (_fault_address(lambda: mem.read_word(guard)),
+                      _fault_address(lambda: mem.write_word(guard, 1)),
+                      _fault_address(lambda: mem.read(guard, 8)))
+            mem.mprotect(guard, PAGE_SIZE, PROT_RW)
+            size = mem.read_word(guard)
+            assert store.allocated_pages == (0 if fast else 1)
+            if fast:
+                assert mem.counters() == {"word_pages_created": 1,
+                                          "word_pages_promoted": 0}
+            seen.append(([fault - base for fault in faults], size,
+                         mem.fault_count, mem.resident_pages,
+                         mem.resident_bytes, mem.peak_resident_pages,
+                         mem.mprotect_count))
+        assert seen[0] == seen[1] == (
+            [PAGE_SIZE] * 3, 100, 3, 1, PAGE_SIZE, 1, 2)
+
+    @staticmethod
+    def _munmap(mem):
+        base = mem.mmap(PAGE_SIZE)
+        mem.write_word(base + 8, 9)
+        mem.munmap(base, PAGE_SIZE)
+        fault = _fault_address(lambda: mem.read_word(base + 8)) - base
+        mem.mmap(PAGE_SIZE, address=base)
+        return fault, mem.read_word(base + 8)
+
+    @staticmethod
+    def _sbrk_shrink(mem):
+        base = mem.sbrk(PAGE_SIZE)
+        mem.write_word(base + 8, 9)
+        mem.sbrk(-PAGE_SIZE)
+        fault = _fault_address(lambda: mem.read_word(base + 8)) - base
+        mem.sbrk(PAGE_SIZE)
+        return fault, mem.read_word(base + 8)
+
+    @staticmethod
+    def _close(mem):
+        base = mem.mmap(PAGE_SIZE)
+        mem.write_word(base + 8, 9)
+        mem.close()
+        return None
+
+    @pytest.mark.parametrize("release", ["_munmap", "_sbrk_shrink",
+                                         "_close"])
+    def test_release_drops_the_page_without_touching_the_store(
+            self, release):
+        """munmap, sbrk shrink and ``close()`` drop a word-only page; a
+        fresh mapping over it reads zero again."""
+        seen = []
+        for fast in (True, False):
+            store = PageStore()
+            mem = VirtualMemory(fast_paths=fast, page_store=store)
+            result = getattr(self, release)(mem)
+            assert store.allocated_pages == 0
+            if fast:
+                assert mem.counters()["word_pages_promoted"] == 0
+            seen.append((result, mem.resident_pages,
+                         mem.peak_resident_pages))
+        assert seen[0] == seen[1]
+        assert seen[0][1:] == (0, 1)
+
+    def test_residency_counts_word_only_pages_in_both_modes(self):
+        seen = []
+        for mem in _pair():
+            base = mem.mmap(4 * PAGE_SIZE)
+            for index in range(4):
+                mem.write_word(base + index * PAGE_SIZE, index)
+            mem.write(base, b"x")  # one page promoted
+            mem.munmap(base + 3 * PAGE_SIZE, PAGE_SIZE)
+            seen.append((mem.resident_pages, mem.resident_bytes,
+                         mem.peak_resident_pages))
+        assert seen[0] == seen[1] == (3, 3 * PAGE_SIZE, 4)
+
+    def test_validator_never_makes_a_word_only_page(self):
+        mem = VirtualMemory(fast_paths=False)
+        base = mem.mmap(PAGE_SIZE)
+        mem.write_word(base, 1)
+        mem.read(base, 8)
+        assert mem.counters() == {"word_pages_created": 0,
+                                  "word_pages_promoted": 0}
+
+    @given(ops=st.lists(SEQ_OPS, max_size=40))
+    def test_op_sequences_match_the_validator(self, ops):
+        assert word_only_mismatches(ops) == []
+
+    def test_planted_promotion_that_drops_words_is_caught(self,
+                                                          monkeypatch):
+        """A promotion that forgets the recorded words must fail the
+        differential check, so it is not vacuous."""
+        real = VirtualMemory._materialize
+
+        def materialize_dropping_words(self, pno):
+            self._frame_words.pop(pno, None)
+            return real(self, pno)
+
+        monkeypatch.setattr(VirtualMemory, "_materialize",
+                            materialize_dropping_words)
+        ops = [("write_word", 16, 0xFEED), ("read", 16, 8)]
+        mismatches = word_only_mismatches(ops)
+        assert [m.split(" ")[0] for m in mismatches] == ["outcomes",
+                                                         "contents"]

@@ -13,6 +13,7 @@ from repro.machine import (
     SegmentationFault,
     VirtualMemory,
 )
+from repro.machine.pagestore import PRIVATE_SEGMENT_PAGES, PageStore
 
 
 class TestMapping:
@@ -267,3 +268,22 @@ class TestIntrospection:
         a = memory.mmap(PAGE_SIZE)
         assert memory.protection_of(a) == PROT_RW
         assert memory.protection_of(0x1111_0000_0000) is None
+
+
+class TestPageStore:
+    def test_slots_across_grown_segments_map_to_distinct_pages(self):
+        """Every slot of a store grown over several segments resolves to
+        its own page, from ``alloc`` and again from ``_views_for``."""
+        store = PageStore()
+        count = 7 * PRIVATE_SEGMENT_PAGES  # segments of 16, 32 and 64
+        slots = []
+        for _ in range(count):
+            slot, _, words = store.alloc()
+            words[0] = slot + 1
+            slots.append(slot)
+        assert store.segment_count == 3
+        assert sorted(slots) == list(range(count))
+        for slot in slots:
+            window, words = store._views_for(slot)
+            assert words[0] == slot + 1
+            assert int.from_bytes(window[:8], "little") == slot + 1
