@@ -16,7 +16,6 @@ from repro.core.pipeline import HeapTherapy
 from repro.defense.patch_table import PatchTable
 from repro.patch.model import HeapPatch
 from repro.vulntypes import VulnType
-from repro.workloads.services.harness import median_frequency_patches
 from repro.workloads.spec.profiles import SPEC_PROFILES
 from repro.workloads.spec.synth import SyntheticSpecProgram
 

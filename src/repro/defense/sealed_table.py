@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..allocator.base import ALLOCATION_FUNCTIONS
-from ..machine.layout import PAGE_SIZE, page_align_up
+from ..machine.layout import page_align_up
 from ..machine.memory import PROT_READ, PROT_RW, VirtualMemory
 from ..patch.model import HeapPatch
 from ..vulntypes import VulnType

@@ -31,7 +31,7 @@ comparable across forked instance processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..parallel.fanout import fanout_map
 from ..parallel.workers import resolve_jobs

@@ -30,7 +30,7 @@ demand-paging contract of :class:`~repro.machine.memory.VirtualMemory`).
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .layout import PAGE_SIZE
 

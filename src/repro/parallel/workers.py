@@ -35,12 +35,7 @@ import pickle
 import signal
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -210,15 +205,17 @@ class WorkerPool:
             arenas.  The in-process path has no process boundary, so
             the flag is a no-op there — results never depend on frame
             backing.
-        max_inflight: most tasks in flight at once (``None``: all).
+
+    A map submits every task at once: the executor's call queue keeps
+    each worker fed, so a worker that finishes a task starts the next
+    without waiting for the parent to collect a result.
     """
 
     def __init__(self, name: str, workers: int,
                  task: Callable[[Any, Any], Any],
                  state: Callable[[Any], Any] = _the_plan, *,
                  error: Callable[[str], Exception] = WorkerPoolError,
-                 shared_pages: bool = False,
-                 max_inflight: Optional[int] = None) -> None:
+                 shared_pages: bool = False) -> None:
         if workers < 1:
             raise error(f"workers must be >= 1, got {workers}")
         self.name = name
@@ -227,8 +224,12 @@ class WorkerPool:
         self.state = state
         self.error = error
         self.shared_pages = shared_pages
-        self.max_inflight = max_inflight
         self._executor: Optional[ProcessPoolExecutor] = None
+        #: Host-side counters (:meth:`counters`): maps run, items
+        #: mapped and executor re-forks after a worker crash.
+        self.maps = 0
+        self.tasks = 0
+        self.rebuilds = 0
 
     @property
     def pids(self) -> frozenset:
@@ -244,6 +245,8 @@ class WorkerPool:
         Live workers keep the plan they were forked with; :meth:`close`
         first to ship another.
         """
+        self.maps += 1
+        self.tasks += len(items)
         if self.workers == 1 or len(items) <= 1:
             state = self.state(plan)
             return [self.task(state, item) for item in items]
@@ -257,6 +260,7 @@ class WorkerPool:
                 return results
             except BrokenProcessPool:
                 rebuilds += 1
+                self.rebuilds += 1
                 self.close()
                 if rebuilds > MAX_POOL_REBUILDS:
                     raise self.error(
@@ -287,23 +291,23 @@ class WorkerPool:
     def _dispatch(self, executor: ProcessPoolExecutor,
                   items: Sequence[Any], results: List[Any],
                   finished: List[bool]) -> None:
-        """One dispatch round over the unfinished items."""
-        pending = [index for index, done in enumerate(finished)
-                   if not done]
-        limit = self.max_inflight or len(pending)
-        inflight: Dict[Future, int] = {}
-        next_pos = 0
-        while next_pos < len(pending) or inflight:
-            while next_pos < len(pending) and len(inflight) < limit:
-                index = pending[next_pos]
-                inflight[executor.submit(_run_task, index,
-                                         items[index])] = index
-                next_pos += 1
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = inflight.pop(future)
-                results[index] = future.result()
-                finished[index] = True
+        """One dispatch round: submit every unfinished item at once."""
+        inflight: Dict[Future, int] = {
+            executor.submit(_run_task, index, items[index]): index
+            for index, done in enumerate(finished) if not done}
+        for future in as_completed(inflight):
+            index = inflight[future]
+            results[index] = future.result()
+            finished[index] = True
+
+    def counters(self) -> Dict[str, int]:
+        """Host-side pool counters, as a flat dict.
+
+        They describe how the work was distributed, not what it
+        computed, so they stay out of every report and digest.
+        """
+        return {"maps": self.maps, "tasks": self.tasks,
+                "rebuilds": self.rebuilds}
 
     def close(self) -> None:
         """Shut down the workers (idempotent)."""

@@ -9,11 +9,12 @@ defended allocator:
   :class:`~repro.serving.handle.PatchTableHandle`.  Copy-on-write swaps
   therefore take effect at the next batch boundary for every worker at
   once — no worker can serve one batch under two table versions.
-* **Dispatch** — batches feed ``N`` worker processes of a kept
-  :class:`~repro.parallel.workers.WorkerPool` as each worker drains,
-  with admission backpressure: at most ``min(workers, usable CPUs)``
-  batches are in flight at once, so an oversubscribed host never pays
-  for cache thrash between more CPU-bound batches than it can run.
+* **Dispatch** — every batch is submitted at once to the ``N`` worker
+  processes of a kept :class:`~repro.parallel.workers.WorkerPool`; the
+  executor's call queue hands a worker its next batch as soon as it
+  finishes one, so no worker waits on the parent between batches.
+  Each worker also renders its batch's outcomes as a JSON fragment, so
+  the parent's serial tail after the last batch is one hash.
   The instrumented program plan — program, deployed codec, every
   published table text — ships once when the pool forks and per-batch
   messages carry only the batch index (as
@@ -37,7 +38,6 @@ defended allocator:
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -47,7 +47,7 @@ from ..ccencoding.base import Codec
 from ..core.instrument import instrument
 from ..defense.interpose import DEFAULT_ONLINE_QUOTA
 from ..defense.patch_table import PatchTable
-from ..parallel.workers import WorkerPool, usable_cpus
+from ..parallel.workers import WorkerPool
 from ..patch import config as patch_config
 from ..program.program import Program
 from .handle import PatchTableHandle
@@ -57,7 +57,7 @@ from .services import (
     serving_registry,
     split_rounds,
 )
-from .session import BatchResult, ServingSession
+from .session import BatchResult, ServingSession, outcomes_fragment
 from .stream import LazyRequestStream
 
 #: Report schema identifier (bump on layout changes).
@@ -190,6 +190,7 @@ class _WorkerServeState:
         return BatchResult(
             index=index,
             outcomes=tuple(outcomes),
+            outcomes_json=outcomes_fragment(outcomes),
             served=served,
             bytes_sent=bytes_sent,
             cycles=tuple(sorted(session.meter.snapshot().items())),
@@ -213,12 +214,10 @@ class ServingEngine:
                  codec: Optional[Codec] = None) -> None:
         #: Preforked worker pool (nginx's master/worker model): spawned
         #: lazily on the first parallel ``serve`` and reused across
-        #: calls, so repeated runs pay the fork cost once.  At most
-        #: ``min(workers, usable CPUs)`` batches are in flight.
+        #: calls, so repeated runs pay the fork cost once.
         self.worker_pool = WorkerPool(
             "serve", options.workers, _serve_index, _WorkerServeState,
-            error=ServingError, shared_pages=options.shared_pages,
-            max_inflight=min(options.workers, usable_cpus()))
+            error=ServingError, shared_pages=options.shared_pages)
         if options.batch_size < 1:
             raise ServingError(
                 f"batch_size must be >= 1, got {options.batch_size}")
@@ -334,20 +333,19 @@ class ServingEngine:
         """The canonical report: a pure function of batch results.
 
         Cycles sum in batch order (fixed float-addition order), the
-        outcome digest hashes the concatenated per-request outcomes, and
-        no wall-clock quantity enters — so any worker count that serves
-        the same batches produces a byte-identical report modulo the
-        ``workers`` field.
+        outcome digest hashes the JSON list of every per-request
+        outcome in batch order, joined from the fragments the workers
+        rendered, and no wall-clock quantity enters — so any worker
+        count that serves the same batches produces a byte-identical
+        report modulo the ``workers`` field.
         """
         options = self.options
         outcome_counts: Dict[str, int] = {}
-        all_outcomes: List[Tuple[str, int]] = []
         cycles: Dict[str, float] = {}
         profile: Dict[Tuple[str, int], int] = {}
         served = 0
         bytes_sent = 0
         for batch in batches:
-            all_outcomes.extend(batch.outcomes)
             served += batch.served
             bytes_sent += batch.bytes_sent
             for status, _ in batch.outcomes:
@@ -356,9 +354,9 @@ class ServingEngine:
                 cycles[category] = cycles.get(category, 0) + value
             for key, count in batch.profile:
                 profile[key] = profile.get(key, 0) + count
-        digest = hashlib.sha256(
-            json.dumps(all_outcomes, sort_keys=True,
-                       separators=(",", ":")).encode()).hexdigest()
+        rendered = ",".join(batch.outcomes_json for batch in batches
+                            if batch.outcomes_json)
+        digest = hashlib.sha256(f"[{rendered}]".encode()).hexdigest()
         return {
             "schema": REPORT_SCHEMA,
             "service": options.service,

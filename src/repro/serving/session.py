@@ -20,8 +20,9 @@ worker process being restarted after a crash-stopped exploit.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..allocator.base import Allocator
 from ..allocator.libc import LibcAllocator
@@ -81,6 +82,16 @@ class BatchResult:
     #: worker processes (CLOCK_MONOTONIC is system-wide) and strictly
     #: excluded from the canonical report, which stays timing-free.
     wall: float = 0.0
+    #: :func:`outcomes_fragment` of ``outcomes``, rendered in the worker
+    #: so the parent's outcome digest only joins and hashes.
+    outcomes_json: str = ""
+
+
+def outcomes_fragment(outcomes: Sequence[Tuple[str, int]]) -> str:
+    """``outcomes`` as compact JSON list items without the brackets
+    (``""`` when empty): the engine joins the fragments of every batch
+    into one list, the same bytes as dumping all outcomes at once."""
+    return json.dumps(outcomes, separators=(",", ":"))[1:-1]
 
 
 class _ServeEntry:

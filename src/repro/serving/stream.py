@@ -13,9 +13,9 @@ sequence the eager path builds (attack injection included), so reports
 are byte-identical whether admission is bounded or not.  The stream is
 picklable (the generator and window cache are per-process state and
 rebuilt lazily), so it ships to pool workers exactly like the eager
-request tuple.  Batch access is effectively monotone (the dispatcher
-hands out indices in order with bounded in-flight), which the window
-exploits; a backward access replays the generator from the start —
+request tuple.  Batch access is effectively monotone (every index is
+submitted at once, in order, and each worker takes the next one from
+the executor's queue), which the window exploits; a backward access replays the generator from the start —
 correct, merely slower, and only reachable through crash-recovery
 resubmission.
 """

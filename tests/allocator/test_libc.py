@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.allocator import (
-    CHUNK_ALIGN,
-    HEADER_SIZE,
-    LibcAllocator,
-    MIN_CHUNK_SIZE,
-    SMALL_MAX,
-    TRIM_THRESHOLD,
-)
+from repro.allocator import CHUNK_ALIGN, SMALL_MAX
 from repro.machine import DoubleFree, InvalidFree
 
 

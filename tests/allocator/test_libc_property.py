@@ -8,7 +8,6 @@ index must match the headers, and no live buffer's data may change.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (

@@ -21,7 +21,6 @@ from repro.analysis.symexec import (
     Problem,
     Relation,
     RelationalConstraint,
-    SAT,
     UNSAT,
 )
 

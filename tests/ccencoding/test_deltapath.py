@@ -1,6 +1,5 @@
 """DeltaPath codec: virtual dispatch edges and the wide value space."""
 
-import pytest
 
 from repro.ccencoding.deltapath import DeltaPathScheme
 from repro.ccencoding.instrumentation import InstrumentationPlan

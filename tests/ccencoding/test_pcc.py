@@ -4,7 +4,7 @@ import pytest
 
 from repro.ccencoding.base import MASK64, splitmix64
 from repro.ccencoding.instrumentation import InstrumentationPlan
-from repro.ccencoding.pcc import PCCCodec, PCCScheme
+from repro.ccencoding.pcc import PCCScheme
 from repro.ccencoding.targeting import Strategy
 from repro.program.callgraph import CallGraph
 

@@ -11,7 +11,6 @@ import pytest
 from repro.core.pipeline import HeapTherapy
 from repro.program.callgraph import CallGraph
 from repro.program.process import Process
-from repro.program.program import Program
 from repro.vulntypes import VulnType
 from repro.workloads.vulnerable.base import RunOutcome, VulnerableProgram
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.ccencoding import SCHEMES, InstrumentationPlan, Strategy
 from repro.core.explain import explain_patch
-from repro.core.pipeline import HeapTherapy
 from repro.patch.model import HeapPatch
 from repro.vulntypes import VulnType
 from repro.workloads.vulnerable import HeartbleedService

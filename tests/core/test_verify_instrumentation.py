@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.ccencoding import SCHEMES, InstrumentationPlan, Strategy
+from repro.ccencoding import Strategy
 from repro.core.instrument import instrument, verify_instrumentation
 from repro.workloads.vulnerable import (
     HeartbleedService,

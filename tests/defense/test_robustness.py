@@ -12,7 +12,7 @@ import pytest
 from repro.allocator.libc import LibcAllocator
 from repro.defense.interpose import DefendedAllocator
 from repro.defense.patch_table import PatchTable
-from repro.machine.errors import InvalidFree, MachineError, SegmentationFault
+from repro.machine.errors import MachineError
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from repro.machine import (
     PAGE_SIZE,
     PROT_NONE,
     SegmentationFault,
-    VirtualMemory,
 )
 
 

@@ -11,7 +11,6 @@ from repro.machine import (
     PROT_READ,
     PROT_RW,
     SegmentationFault,
-    VirtualMemory,
 )
 from repro.machine.pagestore import PRIVATE_SEGMENT_PAGES, PageStore
 

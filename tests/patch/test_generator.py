@@ -1,12 +1,9 @@
 """Offline patch generation by attack replay."""
 
-import pytest
 
 from repro.ccencoding import SCHEMES, InstrumentationPlan, Strategy
-from repro.machine.errors import SegmentationFault
 from repro.patch.generator import OfflinePatchGenerator
 from repro.program.callgraph import CallGraph
-from repro.program.process import Process
 from repro.program.program import Program
 from repro.shadow.report import AnalysisReport, BufferRecord, ShadowWarning
 from repro.vulntypes import VulnType

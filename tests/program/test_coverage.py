@@ -12,7 +12,7 @@ from repro.program.coverage import (
 )
 from repro.program.process import Process
 from repro.program.program import Program
-from repro.workloads.vulnerable import HeartbleedService, table2_programs
+from repro.workloads.vulnerable import table2_programs
 
 
 class Branchy(Program):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.allocator.libc import LibcAllocator
-from repro.machine.errors import SegmentationFault
 from repro.program.callgraph import CallGraph, CallGraphError
 from repro.program.process import Process, ProcessError
 from repro.program.program import Program

@@ -6,7 +6,6 @@ from repro.allocator.libc import LibcAllocator
 from repro.ccencoding import SCHEMES, EncodingRuntime, InstrumentationPlan, Strategy
 from repro.defense.interpose import DefendedAllocator
 from repro.defense.patch_table import PatchTable
-from repro.machine.memory import VirtualMemory
 from repro.patch.model import HeapPatch
 from repro.program.callgraph import CallGraph
 from repro.program.cost import CycleMeter

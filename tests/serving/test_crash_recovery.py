@@ -17,7 +17,12 @@ from dataclasses import replace
 import pytest
 
 from repro.parallel.workers import MAX_POOL_REBUILDS
-from repro.serving.engine import ServingError, ServingOptions, serve
+from repro.serving.engine import (
+    ServingEngine,
+    ServingError,
+    ServingOptions,
+    serve,
+)
 
 #: Multi-batch shape with attacks on both sides of the crashed batch.
 OPTIONS = ServingOptions(service="nginx", requests=80, batch_size=10,
@@ -75,3 +80,32 @@ class TestCrashRecovery:
             serve(OPTIONS)
         assert "giving up" in str(excinfo.value)
         assert str(MAX_POOL_REBUILDS) in str(excinfo.value)
+
+
+class TestQueuedBatchCrash:
+    """Every batch is submitted at once, so batch 7 of ``OPTIONS``' 9
+    waits in the executor's queue behind running ones.  A worker that
+    dies picking it up must still cost only a re-fork and a rerun of
+    the unfinished batches — also when the pool has more workers than
+    the host has CPUs, and under bounded admission."""
+
+    @pytest.mark.parametrize("max_admitted", [0, 2])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_last_batch_crash_matches_oracle(self, workers, max_admitted,
+                                             monkeypatch, tmp_path):
+        options = replace(OPTIONS, workers=workers,
+                          max_admitted=max_admitted)
+        oracle = serve(replace(options, workers=1))
+        batches = oracle.report["batches"]
+        assert batches == 9
+        flag = tmp_path / "crash-once"
+        monkeypatch.setenv("REPRO_CRASH_TASK", "serve:7")
+        monkeypatch.setenv("REPRO_CRASH_FLAG", str(flag))
+        with ServingEngine(options) as engine:
+            crashed = engine.serve()
+            counters = engine.worker_pool.counters()
+        assert flag.exists(), "fault injection never fired"
+        assert canonical(crashed) == canonical(oracle)
+        indices = [batch.index for batch in crashed.batches]
+        assert indices == list(range(batches))
+        assert counters == {"maps": 1, "tasks": batches, "rebuilds": 1}

@@ -6,7 +6,7 @@ from repro.allocator.libc import LibcAllocator
 from repro.program.callgraph import CallGraph
 from repro.program.process import Process
 from repro.program.program import Program
-from repro.shadow.analyzer import RED_ZONE, ShadowAnalyzer
+from repro.shadow.analyzer import ShadowAnalyzer
 from repro.vulntypes import VulnType
 
 

@@ -1,6 +1,5 @@
 """ASCII heap maps."""
 
-import pytest
 
 from repro.allocator.libc import LibcAllocator
 from repro.defense.interpose import DefendedAllocator

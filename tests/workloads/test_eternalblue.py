@@ -5,12 +5,7 @@ import pytest
 from repro.core.pipeline import HeapTherapy
 from repro.vulntypes import VulnType
 from repro.workloads.vulnerable import SmbServer, extension_programs
-from repro.workloads.vulnerable.eternalblue import (
-    GROOM_COUNT,
-    LEGIT_HANDLER,
-    SHELLCODE,
-    SmbSession,
-)
+from repro.workloads.vulnerable.eternalblue import LEGIT_HANDLER, SHELLCODE
 
 
 @pytest.fixture(scope="module")

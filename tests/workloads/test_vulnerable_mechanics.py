@@ -7,7 +7,6 @@ exploitation precondition fails loudly here rather than making Table II
 vacuously pass.
 """
 
-import pytest
 
 from repro.core.pipeline import HeapTherapy
 from repro.vulntypes import VulnType
