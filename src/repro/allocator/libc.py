@@ -24,7 +24,8 @@ Design, following dlmalloc/ptmalloc at small scale:
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 from ..machine.errors import DoubleFree, InvalidFree, OutOfMemoryError
 from ..machine.layout import (
@@ -50,9 +51,6 @@ from .stats import AllocationStats
 
 #: Largest chunk size served from exact-size bins.
 SMALL_MAX: int = 2048
-
-#: Number of exact-size small bins (sizes 0, 16, ..., SMALL_MAX).
-_SMALL_BIN_COUNT = SMALL_MAX // CHUNK_ALIGN + 1
 
 #: Minimum ``sbrk`` growth, to amortize system-call cost.
 GROWTH_MIN: int = 64 * 1024
@@ -142,12 +140,12 @@ class LibcAllocator(Allocator):
         self._top: int = self.heap_start
         self._top_max: int = self.heap_start
         self._top_prev_size: int = 0
-        #: Exact-size LIFO bins indexed by ``size // CHUNK_ALIGN``; the
-        #: companion bitmap has bit ``i`` set iff bin ``i`` is non-empty,
-        #: so the smallest fitting bin is found with one bit-scan instead
-        #: of a linear probe over bin sizes.
-        self._small_bins: List[List[int]] = [
-            [] for _ in range(_SMALL_BIN_COUNT)]
+        #: Exact-size LIFO bins keyed by ``size // CHUNK_ALIGN``, each
+        #: made on the first free into it; the companion bitmap has bit
+        #: ``i`` set iff bin ``i`` is non-empty, so the smallest fitting
+        #: bin is found with one bit-scan instead of a linear probe over
+        #: bin sizes, and only a bin that exists is ever read.
+        self._small_bins: DefaultDict[int, List[int]] = defaultdict(list)
         self._small_map: int = 0
         self._large_bin: List[Tuple[int, int]] = []  # sorted (size, base)
         self._free_index: Dict[int, int] = {}        # base -> size

@@ -33,7 +33,7 @@ allocation, charged per frame like a real unwinder.
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional
+from typing import Hashable, List, Optional
 
 from ..program.callgraph import CallSite
 from ..program.context import ContextSource, SiteRecord, TargetedContextSource
@@ -66,6 +66,12 @@ class EncodingRuntime(TargetedContextSource):
             if enters and site.callee in self.plan.instrumented_functions:
                 cycles += model.encode_prologue
         return (site, self.codec.mix if folds else None, cycles)
+
+    def record_key(self) -> Hashable:
+        # The codec by identity (it defines no equality); the frozen
+        # cost model by value.
+        return (self.codec,
+                self.meter.model if self.meter is not None else None)
 
     def start(self, entry: str) -> int:
         if self.meter is not None and entry in self.plan.instrumented_functions:

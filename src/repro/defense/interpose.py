@@ -68,6 +68,10 @@ _METADATA_SIZE_SHIFT = 4
 #: overflow only, unaligned.  Plain ``int`` so the hot-path tests are
 #: integer compares, never ``IntFlag`` operations.
 _OVERFLOW = int(VulnType.OVERFLOW)
+#: The other two vulnerability bits, as plain ``int`` masks too: a
+#: ``VulnType`` operand would build a new flag member per test.
+_USE_AFTER_FREE = int(VulnType.USE_AFTER_FREE)
+_UNINIT_READ = int(VulnType.UNINIT_READ)
 
 #: Bytes requested past the user buffer for a guard page: enough to
 #: page-align the guard wherever the underlying allocator lands, plus
@@ -293,6 +297,7 @@ class DefendedAllocator(Allocator):
             return self._allocate_guarded(fun, size, zero)
 
         vuln = patch.vuln if patch is not None else VulnType.NONE
+        bits = int(vuln)
         plan = plan_request(vuln, aligned, alignment, size)
         if plan.request_alignment:
             raw = self.underlying.memalign(plan.request_alignment,
@@ -325,7 +330,7 @@ class DefendedAllocator(Allocator):
                 self._charge("defense", self.meter.model.mprotect
                              if self.meter else 0)
                 self.enhanced_counts[VulnType.OVERFLOW] += 1
-            if zero or (vuln & VulnType.UNINIT_READ):
+            if zero or bits & _UNINIT_READ:
                 if size:
                     self.memory.fill(placed.user, size, 0)
                 if not zero and self.meter is not None:
@@ -334,13 +339,13 @@ class DefendedAllocator(Allocator):
                     self.meter.charge(
                         "defense",
                         self.meter.model.zero_fill_per_byte * size)
-                if vuln & VulnType.UNINIT_READ:
+                if bits & _UNINIT_READ:
                     self.enhanced_counts[VulnType.UNINIT_READ] += 1
         except BaseException:
             self._rollback_allocation(raw, placed.metadata_address,
                                       placed.guard)
             raise
-        if vuln & VulnType.USE_AFTER_FREE:
+        if bits & _USE_AFTER_FREE:
             self.enhanced_counts[VulnType.USE_AFTER_FREE] += 1
 
         self.stats.record_alloc(fun, size)
@@ -453,7 +458,7 @@ class DefendedAllocator(Allocator):
         else:
             region_size = (address - raw) + user_size
         self.stats.record_free(user_size)
-        if metadata.vuln & VulnType.USE_AFTER_FREE:
+        if word & _USE_AFTER_FREE:
             self._charge("defense", self.meter.model.quarantine_op
                          if self.meter else 0)
             evictions = self.quarantine.push(

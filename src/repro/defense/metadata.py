@@ -45,6 +45,10 @@ _ALIGN_SHIFT_OVERFLOW = 40
 _ALIGN_SHIFT_PLAIN = 52
 _ALIGN_MASK = (1 << 6) - 1
 _OVERFLOW_BITS = int(VulnType.OVERFLOW)
+#: Every 3-bit type field as its ``VulnType``, so decoding indexes a
+#: tuple instead of calling the enum (bit tests use plain ``int`` masks
+#: for the same reason: a ``VulnType`` operand builds a new member).
+_VULN_TYPES = tuple(VulnType(bits) for bits in range(_TYPE_MASK + 1))
 
 
 class MetadataError(ValueError):
@@ -68,7 +72,7 @@ class BufferMetadata:
     @property
     def has_guard(self) -> bool:
         """True when a guard page exists (overflow defense active)."""
-        return bool(self.vuln & VulnType.OVERFLOW)
+        return bool(int(self.vuln) & _OVERFLOW_BITS)
 
     @property
     def alignment(self) -> int:
@@ -103,9 +107,9 @@ class BufferMetadata:
     @staticmethod
     def decode(word: int) -> "BufferMetadata":
         """Unpack a 64-bit metadata word."""
-        vuln = VulnType(word & _TYPE_MASK)
+        vuln = _VULN_TYPES[word & _TYPE_MASK]
         aligned = bool(word & _ALIGNED_BIT)
-        if vuln & VulnType.OVERFLOW:
+        if word & _OVERFLOW_BITS:
             guard_page = guard_page_of(word)
             align_log2 = (word >> _ALIGN_SHIFT_OVERFLOW) & _ALIGN_MASK
             user_size = 0

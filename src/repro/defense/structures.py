@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ..machine.layout import PAGE_SIZE, is_power_of_two, page_align_up
 from ..vulntypes import VulnType
-from .metadata import METADATA_SIZE
+from .metadata import _OVERFLOW_BITS, METADATA_SIZE
 
 #: Minimum alignment the defense uses for the memalign family (the
 #: metadata word must fit below the user address).
@@ -83,7 +83,7 @@ class PlacedBuffer:
 
 def structure_for(vuln: VulnType, aligned: bool) -> int:
     """Table I: pick the structure for a vulnerability mask."""
-    wants_guard = bool(vuln & VulnType.OVERFLOW)
+    wants_guard = bool(int(vuln) & _OVERFLOW_BITS)
     if aligned:
         return 4 if wants_guard else 3
     return 2 if wants_guard else 1

@@ -41,7 +41,7 @@ import hashlib
 import hmac
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..defense.patch_table import PatchTable
 from ..patch import config as patch_config
@@ -198,29 +198,42 @@ class PatchRegistry:
         if not initial.frozen:
             raise RegistryError("registry tables must be frozen")
         self._patches: List[HeapPatch] = merge_patches([initial.patches])
-        self._state = self._publish()
-        self._history: List[SignedTable] = [self._state]
+        #: The initial table's snapshot is signed the first time it is
+        #: read (a registry whose first submit changes the table never
+        #: needs it unless ``history`` is asked for).
+        self._initial_patches = self._patches
+        self._initial: Optional[SignedTable] = None
+        #: Snapshots published after the initial one; the last is the
+        #: current one.
+        self._history: List[SignedTable] = []
 
-    def _publish(self) -> SignedTable:
-        text = PatchTable(self._patches).serialize()
-        version = table_height(self._patches)
+    def _publish(self, patches: List[HeapPatch]) -> SignedTable:
+        text = PatchTable(patches).serialize()
+        version = table_height(patches)
         return SignedTable(
             version=version,
             content_hash=content_hash(text),
             config_text=text,
             signature=sign_table(self._key, version, text))
 
+    def _initial_state(self) -> SignedTable:
+        if self._initial is None:
+            self._initial = self._publish(self._initial_patches)
+        return self._initial
+
     # -- read side -----------------------------------------------------
 
     @property
     def state(self) -> SignedTable:
         """The current signed snapshot (canonical, convergent)."""
-        return self._state
+        if self._history:
+            return self._history[-1]
+        return self._initial_state()
 
     @property
     def version(self) -> int:
         """The current table height."""
-        return self._state.version
+        return self.state.version
 
     @property
     def patches(self) -> Tuple[HeapPatch, ...]:
@@ -230,7 +243,7 @@ class PatchRegistry:
     @property
     def history(self) -> Tuple[SignedTable, ...]:
         """Distinct snapshots this replica published, oldest first."""
-        return tuple(self._history)
+        return (self._initial_state(), *self._history)
 
     # -- write side ----------------------------------------------------
 
@@ -243,11 +256,11 @@ class PatchRegistry:
         """
         merged = merge_patches([self._patches, patches])
         if merged == self._patches:
-            return self._state
+            return self.state
         self._patches = merged
-        self._state = self._publish()
-        self._history.append(self._state)
-        return self._state
+        state = self._publish(merged)
+        self._history.append(state)
+        return state
 
     def reconcile(self, snapshot: SignedTable) -> SignedTable:
         """Merge a *peer registry's* verified snapshot into this one.

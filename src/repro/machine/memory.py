@@ -59,10 +59,15 @@ little-endian host (as the generic paths do ``int.from_bytes(...,
 "little")``), which covers every platform CPython ships for today.
 
 Pass ``page_store=`` to draw frames from an explicit (possibly
-shared-memory) arena; by default each ``VirtualMemory`` owns a private
-store, unless a process-wide default has been installed via
+shared-memory) arena.  Otherwise frames come from the process-wide
+default store if one has been installed via
 :func:`repro.machine.pagestore.set_default_store` (the diagnosis-pool
-workers do this to share page state without pickling it).
+workers do this to share page state without pickling it), else from the
+process's one private arena (:func:`repro.machine.pagestore.private_arena`).
+No ``VirtualMemory`` owns its store: it returns its slots on
+:meth:`VirtualMemory.close` or when it is collected, and the store
+re-zeroes a reused slot, so a fresh machine costs no segment of its own
+and its pages still start as the zero page.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ from .layout import (
     page_align_up,
     page_number,
 )
-from .pagestore import PageStore, get_default_store
+from .pagestore import PageStore, get_default_store, private_arena
 
 #: No access at all; used for guard pages and red zones at page granularity.
 PROT_NONE: int = 0
@@ -135,12 +140,12 @@ class VirtualMemory:
             test on these management paths and nothing on data paths.
         page_store: explicit frame arena to draw resident pages from
             (e.g. a shared-memory store).  ``None`` uses the process
-            default store if one is installed, else a private store
-            owned (and torn down) by this instance.
+            default store if one is installed, else the process's
+            private arena.
     """
 
     __slots__ = (
-        "_owns_store", "_store", "_protections", "_frames", "_frame_words",
+        "_store", "_protections", "_frames", "_frame_words",
         "_frame_slots", "_brk", "_mmap_cursor", "fault_count",
         "mprotect_count", "peak_resident_pages", "fast_paths",
         "fault_injector", "word_pages_created", "word_pages_promoted",
@@ -150,12 +155,7 @@ class VirtualMemory:
                  fault_injector: Optional[object] = None,
                  page_store: Optional[PageStore] = None) -> None:
         if page_store is None:
-            page_store = get_default_store()
-        if page_store is None:
-            page_store = PageStore()
-            self._owns_store = True
-        else:
-            self._owns_store = False
+            page_store = get_default_store() or private_arena()
         self._store = page_store
         self._protections: Dict[int, int] = {}
         #: Byte view of each page with a frame (window into the store).
@@ -657,25 +657,22 @@ class VirtualMemory:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release all resident frames (and a privately owned store).
+        """Release all resident frames, returning their slots to the
+        store.
 
-        Optional: garbage collection performs the same cleanup.  Useful
-        when many ``VirtualMemory`` instances share a long-lived store
-        and slots should be returned promptly.
+        Optional: garbage collection returns the slots too.  Useful
+        when slots should go back to the long-lived store promptly.
         """
         for pno in list(self._frame_words):
             self._discard_frame(pno)
-        if self._owns_store:
-            self._store.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
-        # Return slots to a shared (externally owned) store so long-lived
-        # arenas do not leak pages as VirtualMemory instances come and go.
+        # Return slots to the long-lived store so it does not leak pages
+        # as VirtualMemory instances come and go.
         try:
-            if not self._owns_store:
-                store = self._store
-                for slot in self._frame_slots.values():
-                    store.free(slot)
+            store = self._store
+            for slot in self._frame_slots.values():
+                store.free(slot)
         except Exception:
             pass
 

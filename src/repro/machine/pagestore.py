@@ -22,7 +22,7 @@ lets another process :meth:`attach` to the same frames with zero
 copying, which is how the diagnosis pool and the fuzz fan-out stop
 pickling page state.
 
-A slot is "dirty" exactly while it is allocated; freed slots are
+A slot is "dirty" once it has been allocated; freed slots are
 re-zeroed lazily on reuse so fresh frames always read as zero (the
 demand-paging contract of :class:`~repro.machine.memory.VirtualMemory`).
 """
@@ -34,13 +34,16 @@ from typing import List, Optional, Tuple
 
 from .layout import PAGE_SIZE
 
-#: Pages in the first segment of a private (non-shared) store.  Private
-#: stores are created per ``VirtualMemory`` — often thousands per run —
-#: so the first segment is small and growth doubles from there.
+#: Pages in the first segment of a private (non-shared) store.  Each
+#: process keeps one private arena (:func:`private_arena`) that every
+#: ``VirtualMemory`` without a store of its own draws from, so the first
+#: segment is small and growth doubles from there.
 PRIVATE_SEGMENT_PAGES = 16
 
-#: Upper bound on private segment growth (pages per segment).
-PRIVATE_SEGMENT_CAP = 2048
+#: Upper bound on private segment growth (pages per segment).  An arena
+#: never returns a segment, so its capacity overshoots the pages it has
+#: ever held at once by at most this much (256 KiB).
+PRIVATE_SEGMENT_CAP = 64
 
 #: Pages per shared-memory segment (1 MiB).  Shared segments carry a
 #: per-segment OS object, so they are created coarser than private ones.
@@ -103,9 +106,10 @@ class PageStore:
         self._segment_base: List[int] = []
         #: Segment index of every slot, so a slot is located in O(1).
         self._slot_segment: List[int] = []
+        #: Never-allocated slots (they read as zero), lowest on top.
         self._free_slots: List[int] = []
-        #: Freed slots whose contents were not re-zeroed yet.
-        self._dirty_slots: set = set()
+        #: Freed slots, most recent on top; re-zeroed when reused.
+        self._dirty_slots: List[int] = []
         self._total_slots = 0
         self._allocated = 0
         self._closed = False
@@ -174,23 +178,24 @@ class PageStore:
         """
         if self._closed:
             raise PageStoreClosed("page store has been closed")
-        if not self._free_slots:
-            self._add_segment()
-        slot = self._free_slots.pop()
-        window, words = self._views_for(slot)
-        if slot in self._dirty_slots:
+        if self._dirty_slots:
             # The slot held data before; restore the zero-page contract.
-            self._dirty_slots.discard(slot)
+            slot = self._dirty_slots.pop()
+            window, words = self._views_for(slot)
             window[:] = _ZERO_PAGE
+        else:
+            if not self._free_slots:
+                self._add_segment()
+            slot = self._free_slots.pop()
+            window, words = self._views_for(slot)
         self._allocated += 1
         return slot, window, words
 
     def free(self, slot: int) -> None:
-        """Return a slot to the free list (contents re-zeroed on reuse)."""
+        """Return a slot to the store (contents re-zeroed on reuse)."""
         if self._closed:
             return
-        self._free_slots.append(slot)
-        self._dirty_slots.add(slot)
+        self._dirty_slots.append(slot)
         self._allocated -= 1
 
     # ------------------------------------------------------------------
@@ -284,9 +289,12 @@ class PageStore:
 #: Process-wide default store set by pool initializers: when not
 #: ``None``, every ``VirtualMemory`` created without an explicit
 #: ``page_store`` draws frames from it (e.g. a shared arena in a
-#: diagnosis worker).  ``None`` keeps the historical behaviour of one
-#: private store per VirtualMemory.
+#: diagnosis worker).  ``None`` means the process's private arena.
 _DEFAULT_STORE: Optional[PageStore] = None
+
+#: This process's private arena, built on first use (see
+#: :func:`private_arena`).
+_PRIVATE_ARENA: Optional[PageStore] = None
 
 
 def set_default_store(store: Optional[PageStore]) -> None:
@@ -298,6 +306,22 @@ def set_default_store(store: Optional[PageStore]) -> None:
 def get_default_store() -> Optional[PageStore]:
     """The process-wide default page store, if one is installed."""
     return _DEFAULT_STORE
+
+
+def private_arena() -> PageStore:
+    """The private arena of this process, built on first use.
+
+    A ``VirtualMemory`` given no store, with no default installed, draws
+    its frames from here and returns them on ``close()`` or when it is
+    collected, so a fresh machine costs no segment of its own.  Reused
+    slots are re-zeroed by :meth:`PageStore.alloc`, so frames still
+    start as the zero page.  Module state, never pickled: a ``spawn``
+    child builds its own; a ``fork`` child keeps using its copy.
+    """
+    global _PRIVATE_ARENA
+    if _PRIVATE_ARENA is None:
+        _PRIVATE_ARENA = PageStore()
+    return _PRIVATE_ARENA
 
 
 #: The shared arena installed by :func:`install_shared_worker_store`

@@ -16,7 +16,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Set,
+    Tuple,
+)
 
 from ..allocator.base import ALLOCATION_FUNCTIONS
 
@@ -82,7 +92,21 @@ class CallGraph:
         self._out: Dict[str, List[CallSite]] = {}
         self._in: Dict[str, List[CallSite]] = {}
         self._frozen = False
+        #: Record key -> (call-site, allocation-site) record tables
+        #: shared by the processes run on this graph once frozen (see
+        #: :meth:`site_records`); a pure cache, never pickled.
+        self._site_records: Dict[Hashable, Tuple[Dict[Any, Any],
+                                                 Dict[Any, Any]]] = {}
         self.add_function(entry)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_site_records"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._site_records = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -176,6 +200,24 @@ class CallGraph:
                     f"{len(candidates)} sites; pass label=")
         raise CallGraphError(
             f"unknown call site {caller}->{callee}#{label!r}")
+
+    def site_records(self, key: Hashable) -> Tuple[Dict[Any, Any],
+                                                   Dict[Any, Any]]:
+        """The ``(call-site, allocation-site)`` record tables shared by
+        every process run on this graph whose context source has record
+        key ``key``.
+
+        A :class:`~repro.program.process.Process` caches each site it
+        resolves, keyed ``(caller, callee, label)``, while the graph is
+        frozen (site ids are stable then).  A record is a pure function
+        of the site and the key (for an encoding runtime: its codec and
+        cost model), so a fresh run starts with every site an earlier
+        run of the same key resolved.
+        """
+        tables = self._site_records.get(key)
+        if tables is None:
+            tables = self._site_records[key] = ({}, {})
+        return tables
 
     def site_by_id(self, site_id: int) -> CallSite:
         """Return the site with dense id ``site_id``."""

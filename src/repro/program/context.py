@@ -27,7 +27,7 @@ the import cycle between the program model and the encoders.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 from .callgraph import CallSite
 from .cost import CycleMeter
@@ -91,7 +91,22 @@ class TargetedContextSource(ContextSource):
     @abc.abstractmethod
     def site_record(self, site: CallSite, enters: bool) -> SiteRecord:
         """The record of ``site``; ``enters`` is False for allocation
-        sites, which push no frame and so run no callee prologue."""
+        sites, which push no frame and so run no callee prologue.
+
+        It must be a pure function of ``site``, ``enters`` and
+        :meth:`record_key`: processes share records across runs."""
+
+    @abc.abstractmethod
+    def record_key(self) -> Hashable:
+        """What this source's site records depend on besides the site.
+
+        Processes on one frozen graph whose sources return equal keys
+        share one record table (:meth:`CallGraph.site_records
+        <repro.program.callgraph.CallGraph.site_records>`).  The key is
+        held by the graph, so it must not be an ``id()``, which a later
+        object can reuse.  ``None`` is the key of ``(site, None, 0)``
+        records, which every source without targeted encoding gives.
+        """
 
     def start(self, entry: str) -> int:
         """The process enters ``entry`` with no call site in front of
@@ -113,3 +128,6 @@ class NullContextSource(TargetedContextSource):
 
     def site_record(self, site: CallSite, enters: bool) -> SiteRecord:
         return (site, None, 0)
+
+    def record_key(self) -> Hashable:
+        return None

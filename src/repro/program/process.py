@@ -137,9 +137,16 @@ class Process:
         self._compute = self.monitor.compute
         #: (caller, callee, label) -> site record of a call and of an
         #: allocation; populated only while the graph is frozen (site
-        #: ids are stable then).
-        self._call_records: Dict[Tuple[str, str, str], SiteRecord] = {}
-        self._alloc_records: Dict[Tuple[str, str, str], SiteRecord] = {}
+        #: ids are stable then), in tables the frozen graph shares with
+        #: every run whose source has the same record key.
+        self._call_records: Dict[Tuple[str, str, str], SiteRecord]
+        self._alloc_records: Dict[Tuple[str, str, str], SiteRecord]
+        if graph.frozen:
+            self._call_records, self._alloc_records = graph.site_records(
+                source.record_key()
+                if isinstance(source, TargetedContextSource) else None)
+        else:
+            self._call_records, self._alloc_records = {}, {}
 
         self._stack: List[Frame] = []
         #: The call site of the allocation currently being dispatched;
@@ -396,10 +403,14 @@ class Process:
         read) happens once — valid because every allocation of the run
         flows through the same call site, so the per-call path would
         compute the identical CCID each time (the fold depends only on the
-        site and the caller frame's ``t``).  Profile counts, events and
-        live tracking match a per-call loop exactly.  Under a lock-step
-        scheduler the run is replayed per call so every allocation stays
-        a preemption point.
+        site and the caller frame's ``t``).  CCIDs, profile counts,
+        events and live tracking match a per-call loop exactly.  The
+        encoding charge does not: the run crosses the site once, so a
+        run of *k* allocations charges the site's ``encode_site`` cycles
+        (and bumps ``sites_crossed``/``updates_executed``) once where
+        *k* ``malloc`` calls do so *k* times; every other category is
+        the loop's.  Under a lock-step scheduler the run is replayed per
+        call so every allocation stays a preemption point.
         """
         if not sizes:
             return []

@@ -223,3 +223,151 @@ class TestWalkerReuse:
                           fresh_meter)
         assert first == fresh
         assert second == fresh
+
+
+def observe(program, codec):
+    """Everything one native run shows: cycles by category (with their
+    order), crossing counters, allocation events and the CCID profile."""
+    meter = CycleMeter()
+    runtime = EncodingRuntime(codec, meter)
+    process = Process(program.graph, heap=LibcAllocator(),
+                      context_source=runtime, meter=meter)
+    process.run(program)
+    return (list(meter.snapshot().items()), runtime.sites_crossed,
+            runtime.updates_executed,
+            [(e.fun, e.ccid, e.context) for e in process.allocations],
+            sorted(process.alloc_profile.items()))
+
+
+def pcc_codec(program, strategy):
+    plan = InstrumentationPlan.build(program.graph, ["malloc"], strategy)
+    return SCHEMES["pcc"].build(plan)
+
+
+class TestSharedSiteRecords:
+    """Site records are shared across runs on one frozen graph, one
+    table per (codec, cost model): a warm run must observe exactly what
+    the cold run that filled the table observed."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_warm_run_matches_cold_run(self, strategy):
+        program = DeepProgram()
+        codec = pcc_codec(program, strategy)
+        key = EncodingRuntime(codec, CycleMeter()).record_key()
+        assert program.graph.site_records(key) == ({}, {})
+        cold = observe(program, codec)
+        calls, allocs = program.graph.site_records(key)
+        assert calls and allocs  # the cold run filled the shared table
+        assert observe(program, codec) == cold
+        # A program with a graph of its own starts cold again.
+        fresh = DeepProgram()
+        assert observe(fresh, pcc_codec(fresh, strategy)) == cold
+
+    def test_warm_defended_run_matches_cold_run(self):
+        from repro.core.pipeline import HeapTherapy
+        from repro.workloads.vulnerable import workload_registry
+
+        def defended(system, table):
+            run = system.run_defended(
+                table, system.program.attack_input())
+            return (run.blocked, list(run.meter.snapshot().items()),
+                    sorted(run.process.alloc_profile.items()))
+
+        factory = workload_registry()["heartbleed"]
+        system = HeapTherapy(factory())
+        table = system.generate_patches(
+            system.program.attack_input()).patches
+        cold = defended(system, table)
+        assert cold[0]  # the patched run blocks the attack
+        assert defended(system, table) == cold
+        fresh = HeapTherapy(factory())
+        assert defended(fresh, table) == cold
+
+    def test_second_codec_never_sees_the_first_codecs_records(self):
+        program = DeepProgram()
+        incremental = pcc_codec(program, Strategy.INCREMENTAL)
+        fcs = pcc_codec(program, Strategy.FCS)
+        first = observe(program, incremental)
+        seen = tuple(dict(table) for table in program.graph.site_records(
+            EncodingRuntime(incremental, CycleMeter()).record_key()))
+        fcs_key = EncodingRuntime(fcs, CycleMeter()).record_key()
+        assert program.graph.site_records(fcs_key) == ({}, {})
+        second = observe(program, fcs)
+        fresh = DeepProgram()
+        assert second == observe(fresh, pcc_codec(fresh, Strategy.FCS))
+        assert second != first  # the two codecs do tell contexts apart
+        for table in program.graph.site_records(fcs_key):
+            for _, fold, _ in table.values():
+                assert fold is None or fold.__self__ is fcs
+        # ... and the first codec's table is left as it was.
+        assert tuple(program.graph.site_records(
+            EncodingRuntime(incremental, CycleMeter()).record_key())) \
+            == seen
+
+    def test_tables_stay_out_of_the_pickled_graph(self):
+        import pickle
+
+        program = DeepProgram()
+        empty = len(pickle.dumps(program.graph))
+        observe(program, pcc_codec(program, Strategy.FCS))
+        assert len(pickle.dumps(program.graph)) == empty
+        clone = pickle.loads(pickle.dumps(program.graph))
+        assert clone.site_records(None) == ({}, {})
+
+
+class TestMallocRunEncodingCharge:
+    """A run of k allocations crosses its site once, so it charges the
+    site's encoding cycles once where k ``malloc`` calls charge them k
+    times; everything else is what the per-call loop observes."""
+
+    class Burst(Program):
+        name = "burst"
+        SIZES = (16, 32, 48, 64)
+
+        def __init__(self, batched):
+            super().__init__()
+            self.batched = batched
+
+        def build_graph(self):
+            graph = CallGraph()
+            graph.add_call_site("main", "pool")
+            graph.add_call_site("pool", "malloc")
+            graph.add_call_site("main", "free")
+            return graph
+
+        def main(self, p):
+            for address in p.call("pool", self._fill):
+                p.free(address)
+
+        def _fill(self, p):
+            if self.batched:
+                return p.malloc_run(list(self.SIZES))
+            return [p.malloc(size) for size in self.SIZES]
+
+    def test_four_entry_run_charges_one_site_crossing(self):
+        runs = {}
+        for batched in (False, True):
+            program = self.Burst(batched)
+            meter = CycleMeter()
+            runtime = EncodingRuntime(pcc_codec(program, Strategy.FCS),
+                                      meter)
+            process = Process(program.graph, heap=LibcAllocator(),
+                              context_source=runtime, meter=meter)
+            process.run(program)
+            runs[batched] = (meter, runtime, process)
+        (scalar, scalar_rt, scalar_p), (batch, batch_rt, batch_p) = (
+            runs[False], runs[True])
+        encode_site = scalar.model.encode_site
+        assert encode_site > 0
+        assert (scalar.category("encoding") - batch.category("encoding")
+                == 3 * encode_site)
+        others = {name for name in scalar.by_category if name != "encoding"}
+        assert others == {name for name in batch.by_category
+                          if name != "encoding"}
+        for name in others:
+            assert scalar.category(name) == batch.category(name)
+        assert scalar_rt.sites_crossed - batch_rt.sites_crossed == 3
+        assert scalar_rt.updates_executed - batch_rt.updates_executed == 3
+        assert ([(e.ccid, e.size, e.address) for e in scalar_p.allocations]
+                == [(e.ccid, e.size, e.address) for e in batch_p.allocations])
+        assert scalar_p.alloc_profile == batch_p.alloc_profile

@@ -13,8 +13,12 @@ The fleet's safety case rests on two properties pinned down here:
   subscriber's applied version never moves on a rejected snapshot.
 """
 
+import hashlib
+
 import pytest
 
+from repro.defense.patch_table import PatchTable
+from repro.fleet import registry as registry_module
 from repro.fleet.registry import (
     ContentMismatch,
     PatchRegistry,
@@ -75,6 +79,73 @@ class TestHeightVersion:
         v2 = registry.submit([P1]).version  # unchanged content
         v3 = registry.submit([P2]).version  # widened key
         assert v1 == v2 < v3
+
+
+def transcript(registry, returned, history_first):
+    """Every byte a caller can read back: the snapshots ``submit`` or
+    ``reconcile`` returned, then ``state``/``version`` and ``history``
+    (in either order, since the initial snapshot is built on first
+    read)."""
+    reads = [registry.state.dumps(), str(registry.version)]
+    history = [snapshot.dumps() for snapshot in registry.history]
+    reads = history + reads if history_first else reads + history
+    return "".join([*(snapshot.dumps() for snapshot in returned), *reads])
+
+
+def transcripts(history_first):
+    fresh = PatchRegistry(KEY)
+    yield transcript(fresh, [], history_first)
+    empty_first = PatchRegistry(KEY)
+    yield transcript(empty_first, [empty_first.submit([])], history_first)
+    feed = PatchRegistry(KEY)
+    yield transcript(
+        feed, [feed.submit(group)
+               for group in ([P1], [P1], [P2], [P3], [P1, P2])],
+        history_first)
+    peer = PatchRegistry(KEY)
+    peer.submit([P1, P3])
+    joined = PatchRegistry(KEY)
+    yield transcript(joined, [joined.reconcile(peer.state),
+                              joined.reconcile(peer.state)],
+                     history_first)
+    seeded = PatchRegistry(KEY, PatchTable([P2]))
+    yield transcript(seeded, [seeded.submit([P2]), seeded.submit([P3])],
+                     history_first)
+
+
+#: sha256 over :func:`transcripts` (both read orders) as produced when
+#: every registry signed its initial snapshot at construction.
+TRANSCRIPT_DIGEST = (
+    "6035eb0767ecd8e8fdf93ce0463ded35a8ae99213fc290ab9f60b110740d37a9")
+
+
+class TestLazyInitialSnapshot:
+    """The initial snapshot is signed on first read, not at
+    construction; nothing a caller reads back may change."""
+
+    def test_transcripts_match_eager_signing(self):
+        digest = hashlib.sha256()
+        for history_first in (False, True):
+            for text in transcripts(history_first):
+                digest.update(text.encode())
+        assert digest.hexdigest() == TRANSCRIPT_DIGEST
+
+    def test_first_changing_submit_signs_once(self, monkeypatch):
+        calls = []
+        real = registry_module.sign_table
+
+        def counting(key, version, text):
+            calls.append(version)
+            return real(key, version, text)
+
+        monkeypatch.setattr(registry_module, "sign_table", counting)
+        registry = PatchRegistry(KEY)
+        assert calls == []
+        snapshot = registry.submit([P1])
+        assert calls == [snapshot.version]
+        # The initial snapshot is still there for the audit trail.
+        assert [s.version for s in registry.history] == [0, 1]
+        assert calls == [1, 0]
 
 
 class TestSignatures:

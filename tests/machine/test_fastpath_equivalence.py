@@ -7,9 +7,13 @@ step: a guest loop executed as batched blocks on the fast paths against
 the same loop interpreted op by op on the slow validator.
 :class:`TestWordOnlyPages` (run in the same CI step) holds word-only
 pages — resident pages with a word map and no frame — to the validator,
-which never makes one.
+which never makes one.  :class:`TestPageArena` (same CI step) holds
+machines that draw frames from the process's one private arena, and so
+reuse slots dead machines left dirty, to a machine with a never-used
+store of its own.
 """
 
+import gc
 from array import array
 
 import pytest
@@ -26,7 +30,11 @@ from repro.machine import (
     SegmentationFault,
     VirtualMemory,
 )
-from repro.machine.pagestore import PageStore
+from repro.machine.pagestore import (
+    PageStore,
+    get_default_store,
+    private_arena,
+)
 from repro.program.blocks import BasicBlock, BlockBuilder
 from repro.program.callgraph import CallGraph
 from repro.program.monitor import DirectMonitor
@@ -681,3 +689,127 @@ class TestWordOnlyPages:
         mismatches = word_only_mismatches(ops)
         assert [m.split(" ")[0] for m in mismatches] == ["outcomes",
                                                          "contents"]
+
+
+def _dirty_slots(store, pages):
+    """Leave ``pages`` slots filled with 0xA5 on top of ``store``'s free
+    list (a machine fills them and is closed); return those slots."""
+    mem = VirtualMemory(page_store=store)
+    base = mem.mmap(pages * PAGE_SIZE)
+    mem.fill(base, pages * PAGE_SIZE, 0xA5)
+    slots = set(mem._frame_slots.values())
+    mem.close()
+    return slots
+
+
+def arena_mismatches(ops, store):
+    """Run ``ops`` on a fast and a validator machine, each drawing from
+    ``store`` right after dirtying it, and on a validator with a store of
+    its own; return the observables that differ (empty: equivalent)."""
+    reference = _run_sequence(
+        VirtualMemory(fast_paths=False, page_store=PageStore()), ops)
+    mismatches = []
+    for fast in (True, False):
+        _dirty_slots(store, SEQ_PAGES)
+        seen = _run_sequence(VirtualMemory(fast_paths=fast,
+                                           page_store=store), ops)
+        mode = "fast" if fast else "validator"
+        mismatches += [f"{mode} {key} diverged: {seen[key]!r} != "
+                       f"{reference[key]!r}"
+                       for key in seen if seen[key] != reference[key]]
+    return mismatches
+
+
+class TestPageArena:
+    """Every ``VirtualMemory`` built with no store draws frames from the
+    process's one private arena and returns them when it is closed or
+    collected.  A machine must still see zero pages and only its own
+    data, whatever the dead machines before it left in the slots."""
+
+    @pytest.fixture(autouse=True)
+    def arena(self):
+        assert get_default_store() is None
+        # Pending garbage would free slots on top of the ones a test
+        # dirtied; collect it first.
+        gc.collect()
+        return private_arena()
+
+    def test_machines_without_a_store_share_the_arena(self, arena):
+        assert VirtualMemory().page_store is arena
+        assert VirtualMemory(fast_paths=False).page_store is arena
+        assert LibcAllocator().memory.page_store is arena
+
+    @pytest.mark.parametrize("death", ["closed", "collected"])
+    def test_page_a_dead_machine_left_dirty_reads_zero(self, death):
+        dead = VirtualMemory()
+        base = dead.mmap(4 * PAGE_SIZE)
+        dead.fill(base, 4 * PAGE_SIZE, 0xA5)
+        slots = set(dead._frame_slots.values())
+        if death == "closed":
+            dead.close()
+        else:
+            del dead
+        mem = VirtualMemory()
+        base = mem.mmap(4 * PAGE_SIZE)
+        for index in range(4):
+            mem.write(base + index * PAGE_SIZE + 1, b"\x01")
+        assert set(mem._frame_slots.values()) == slots  # reused
+        assert (mem.read(base, 4 * PAGE_SIZE)
+                == (b"\x00\x01" + bytes(PAGE_SIZE - 2)) * 4)
+
+    @given(ops=st.lists(SEQ_OPS, max_size=40))
+    def test_fast_and_validator_machines_sharing_the_arena_agree(self,
+                                                                 ops):
+        assert arena_mismatches(ops, private_arena()) == []
+
+    def test_planted_reuse_without_rezeroing_is_caught(self, monkeypatch):
+        """A store that hands out a freed slot without re-zeroing it
+        must fail the differential check, so it is not vacuous.  (It
+        runs on a store of its own: the process arena stays clean.)"""
+        def free_forgetting_dirt(self, slot):
+            self._free_slots.append(slot)  # as if never allocated
+            self._allocated -= 1
+
+        monkeypatch.setattr(PageStore, "free", free_forgetting_dirt)
+        ops = [("write", 8, b"x"), ("read", 0, 16)]
+        mismatches = arena_mismatches(ops, PageStore())
+        assert {m.split(" ")[1] for m in mismatches} == {"outcomes",
+                                                         "contents"}
+
+    def test_close_and_collection_return_every_slot(self, arena):
+        before = arena.allocated_pages
+        for death in ("closed", "collected"):
+            mem = VirtualMemory()
+            base = mem.mmap(8 * PAGE_SIZE)
+            for index in range(8):  # word-only pages: no slot yet
+                mem.write_word(base + index * PAGE_SIZE, index)
+            mem.fill(base, 3 * PAGE_SIZE, 7)
+            mem.write(base + 5 * PAGE_SIZE + 3, b"z")
+            assert arena.allocated_pages == before + 4
+            if death == "closed":
+                mem.close()
+                assert mem.resident_pages == 0
+            del mem
+            assert arena.allocated_pages == before
+
+    def test_word_only_page_promoted_into_a_reused_slot(self, arena):
+        """The promoted page holds exactly its recorded words and the
+        promoting write, nothing the slot's last owner left."""
+        expected = bytearray(PAGE_SIZE)
+        expected[16:24] = (0x1122334455667788).to_bytes(8, "little")
+        expected[-8:] = (5).to_bytes(8, "little")
+        expected[100:101] = b"x"
+        for fast in (True, False):
+            slots = _dirty_slots(arena, 1)
+            mem = VirtualMemory(fast_paths=fast)
+            page = mem.mmap(PAGE_SIZE)
+            mem.write_word(page + 16, 0x1122334455667788)
+            mem.write_word(page + PAGE_SIZE - 8, 5)
+            assert len(mem._frame_slots) == (0 if fast else 1)
+            mem.write(page + 100, b"x")
+            assert set(mem._frame_slots.values()) == slots
+            assert mem.read(page, PAGE_SIZE) == bytes(expected)
+            if fast:
+                assert mem.counters() == {"word_pages_created": 1,
+                                          "word_pages_promoted": 1}
+            mem.close()

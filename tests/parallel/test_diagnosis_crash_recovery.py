@@ -8,8 +8,11 @@ SIGKILLs itself before replaying a targeted run of entries (an
 re-fork, resubmit only the unfinished entries and still merge tables
 byte-identical to the undisturbed ``jobs=1`` oracle.  Because the pool
 now outlives one call, recovery must also leave it usable for the next
-``diagnose``.
+``diagnose``.  :class:`TestCrashRecovery` runs under ``fork`` (the
+default start method) and its twin :class:`TestCrashRecoverySpawn`
+under ``spawn``, where every rebuilt worker starts a fresh interpreter.
 """
+
 
 import pytest
 
@@ -29,6 +32,11 @@ def crash_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CRASH_TASK", TARGET)
     monkeypatch.setenv("REPRO_CRASH_FLAG", str(flag))
     return flag
+
+
+#: Every test runs its pools under its class's ``start_method``
+#: (``tests/parallel/conftest.py``).
+pytestmark = pytest.mark.usefixtures("start_method")
 
 
 class TestCrashRecovery:
@@ -65,3 +73,7 @@ class TestCrashRecovery:
         monkeypatch.delenv("REPRO_CRASH_FLAG", raising=False)
         diagnosis = DiagnosisPool(jobs=1).diagnose(default_corpus())
         assert not diagnosis.failures()
+
+
+class TestCrashRecoverySpawn(TestCrashRecovery):
+    start_method = "spawn"

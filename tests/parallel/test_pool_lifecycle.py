@@ -8,6 +8,12 @@ worker never replays a program it was not shipped.  ``close()`` (or the
 The pinned digest holds the serial output byte-for-byte to what the
 per-byte shadow implementation produced.  Workers whose parent dies to
 a signal exit on their own and unlink their arenas.
+
+Every class runs under ``fork`` (the default start method) and again
+under ``spawn`` through its ``...Spawn`` twin, which only overrides
+``start_method``: page arenas and the other per-process state are
+module state, so a spawned worker must build its own rather than
+inherit it.
 """
 
 import glob
@@ -19,6 +25,8 @@ import signal
 import subprocess
 import sys
 import time
+
+import pytest
 
 import repro
 from repro.parallel import DiagnosisPool
@@ -34,6 +42,11 @@ from repro.workloads.vulnerable import workload_registry
 #: default corpus: patches, summaries, per-entry cycles and tables.
 DEFAULT_CORPUS_DIGEST = (
     "fcbc445238e6a4bc5fc265b0a2f97c173c4391c77e60c5ba6c3da29357b947c8")
+
+
+#: Every test runs its pools under its class's ``start_method``
+#: (``tests/parallel/conftest.py``).
+pytestmark = pytest.mark.usefixtures("start_method")
 
 
 def canonical(diagnosis):
@@ -154,6 +167,14 @@ class TestWorkerReuse:
             assert not pool.worker_pool.pids
 
 
+class TestPinnedOutputSpawn(TestPinnedOutput):
+    start_method = "spawn"
+
+
+class TestWorkerReuseSpawn(TestWorkerReuse):
+    start_method = "spawn"
+
+
 class TestSharedPagesLifecycle:
     def test_segments_bounded_across_calls_and_gone_after_close(self):
         corpus = table2_corpus()
@@ -167,14 +188,42 @@ class TestSharedPagesLifecycle:
         assert diag_segments() == []
 
 
-#: Builds a kept diagnosis pool and a kept serving pool, records their
-#: worker pids, then dies to SIGKILL with both pools live.
+class TestSharedPagesLifecycleSpawn(TestSharedPagesLifecycle):
+    start_method = "spawn"
+
+    def test_segments_bounded_across_calls_and_gone_after_close(self):
+        """A spawned worker can still be starting while its sibling
+        takes every task of the first call, so its arena may first
+        appear in a later call; from then on each worker's segments
+        stay the same."""
+        corpus = table2_corpus()
+        programs = shipped_programs(corpus)
+        by_worker = {}
+        with DiagnosisPool(jobs=2, shared_pages=True) as pool:
+            for _ in range(20):
+                pool.diagnose(corpus, programs=programs)
+                seen = {}
+                for name in diag_segments():
+                    pid = name.rsplit("-", 2)[-2]
+                    seen.setdefault(pid, set()).add(name)
+                for pid, names in seen.items():
+                    assert by_worker.setdefault(pid, names) == names
+                assert set(seen) == set(by_worker)
+            assert len(by_worker) <= 2
+        assert diag_segments() == []
+
+
+#: Builds a kept diagnosis pool and a kept serving pool under the start
+#: method in argv[2], records their worker pids, then dies to SIGKILL
+#: with both pools live.
 ORPHAN_SCRIPT = """
-import os, signal, sys
-from repro.parallel import DiagnosisPool
+import multiprocessing, os, signal, sys
+from repro.parallel import DiagnosisPool, workers
 from repro.serving import ServingEngine, ServingOptions
 from repro.workloads.corpus import table2_corpus
 
+context = multiprocessing.get_context(sys.argv[2])
+workers.pool_context = lambda: context
 pool = DiagnosisPool(jobs=2, shared_pages=True)
 pool.diagnose(table2_corpus())
 engine = ServingEngine(ServingOptions(
@@ -193,7 +242,8 @@ def arenas():
 
 
 class TestParentDeath:
-    def test_workers_exit_and_unlink_when_parent_is_killed(self, tmp_path):
+    def test_workers_exit_and_unlink_when_parent_is_killed(
+            self, tmp_path, start_method):
         before = arenas()
         pid_file = tmp_path / "pids"
         env = dict(os.environ)
@@ -201,7 +251,8 @@ class TestParentDeath:
             os.path.dirname(repro.__file__))
         # No pipe to the script: orphans holding it open would hang us.
         parent = subprocess.Popen(
-            [sys.executable, "-c", ORPHAN_SCRIPT, str(pid_file)],
+            [sys.executable, "-c", ORPHAN_SCRIPT, str(pid_file),
+             start_method],
             env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         assert parent.wait(timeout=120) == -signal.SIGKILL
@@ -218,3 +269,7 @@ class TestParentDeath:
             for pid in pids:
                 if alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+class TestParentDeathSpawn(TestParentDeath):
+    start_method = "spawn"
